@@ -3,8 +3,8 @@ volumes, a 3-D residual network with feature self-attention, and training,
 evaluation and persistence tools."""
 
 from .autodiff import Tensor, backward, grad_check
-from .csi import (ActivitySpec, CsiFrame, CsiStream, MotionComponent,
-                  amplitude, channel_apply, doppler_activity_spec, synth_stream)
+from .csi import (ActivitySpec, CsiStream, MotionComponent, amplitude,
+                  channel_apply, doppler_activity_spec, synth_stream)
 from .dataio import (DatasetManifest, ManifestEntry, load_manifest, load_stream,
                      load_volumes, load_weights, peek_weights_config, save_stream,
                      save_volumes, save_weights, write_manifest)

@@ -6,7 +6,9 @@ subcarrier, plus additive noise. Synthetic streams superpose a static
 channel with Doppler-modulated motion components so that class identity is
 controlled exactly by the component frequencies.
 
-All CSI entries are complex128; streams are immutable after construction.
+A recording is one validated, read-only (I, n_tx, n_rx, n_sub) complex128
+array; packet i is row i, so its index and capture time follow from its
+position and the stream's sample rate.
 """
 
 from __future__ import annotations
@@ -25,64 +27,50 @@ def _check_finite(array, what: str) -> None:
         raise ValidationError(f"{what} contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class CsiFrame:
-    """One received packet's channel matrix.
-
-    Attributes:
-        h: complex channel matrix of shape (n_tx, n_rx, n_sub).
-        packet_index: position of the packet in its stream, starting at 0.
-        timestamp: capture time in seconds.
-    """
-
-    h: np.ndarray
-    packet_index: int
-    timestamp: float
-
-    def __post_init__(self):
-        h = np.ascontiguousarray(self.h, dtype=np.complex128)
-        if h.ndim != 3:
-            raise DimensionError(f"frame matrix must be 3-D, got shape {h.shape}")
-        if self.packet_index < 0:
-            raise ValidationError(f"packet_index must be >= 0, got {self.packet_index}")
-        _check_finite(h, "CSI frame")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
+def _check_rate(sample_rate_hz) -> None:
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValidationError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
 
 
 @dataclass(frozen=True)
 class CsiStream:
-    """Time-ordered CSI frames plus acquisition metadata."""
+    """One recording: a read-only (I, n_tx, n_rx, n_sub) complex128 array.
 
-    frames: tuple
-    n_tx: int
-    n_rx: int
-    n_sub: int
+    Packet i is ``h[i]``, captured at ``i / sample_rate_hz`` seconds. The
+    array is copied on construction, so the caller's array is never frozen
+    or aliased.
+    """
+
+    h: np.ndarray
     sample_rate_hz: float
     label: Optional[int] = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValidationError("a stream needs at least one frame")
-        if self.sample_rate_hz <= 0:
-            raise ValidationError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        shape = (self.n_tx, self.n_rx, self.n_sub)
-        for i, frame in enumerate(frames):
-            if frame.h.shape != shape:
-                raise DimensionError(
-                    f"frame {i} has shape {frame.h.shape}, stream header says {shape}")
-            if frame.packet_index != i:
-                raise ValidationError(
-                    f"packet_index must increase by 1 from 0; frame {i} has {frame.packet_index}")
-        object.__setattr__(self, "frames", frames)
+        h = np.array(self.h, dtype=np.complex128)
+        if h.ndim != 4:
+            raise DimensionError(
+                f"stream array must be 4-D (I, n_tx, n_rx, n_sub), got shape {h.shape}")
+        if h.size == 0:
+            raise ValidationError(f"a stream needs at least one non-empty frame, got {h.shape}")
+        _check_finite(h, "CSI stream")
+        _check_rate(self.sample_rate_hz)
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
+
+    @property
+    def n_tx(self) -> int:
+        return self.h.shape[1]
+
+    @property
+    def n_rx(self) -> int:
+        return self.h.shape[2]
+
+    @property
+    def n_sub(self) -> int:
+        return self.h.shape[3]
 
     def __len__(self):
-        return len(self.frames)
-
-    def as_array(self) -> np.ndarray:
-        """Stack frames into a complex array of shape (I, n_tx, n_rx, n_sub)."""
-        return np.stack([f.h for f in self.frames])
+        return self.h.shape[0]
 
 
 @dataclass(frozen=True)
@@ -123,23 +111,28 @@ class ActivitySpec:
         object.__setattr__(self, "motion_components", components)
 
 
-def channel_apply(tx, frame: CsiFrame, noise, tx_ant: int, rx_ant: int) -> np.ndarray:
-    """Pass a per-subcarrier symbol vector through one antenna pair of a frame.
+def channel_apply(tx, h, noise, tx_ant: int, rx_ant: int) -> np.ndarray:
+    """Pass a per-subcarrier symbol vector through one antenna pair of one
+    packet's (n_tx, n_rx, n_sub) channel matrix, e.g. ``stream.h[i]``.
 
     Returns received[s] = h[tx_ant, rx_ant, s] * tx[s] + noise[s].
     """
+    h = np.asarray(h, dtype=np.complex128)
     tx = np.asarray(tx, dtype=np.complex128)
     noise = np.asarray(noise, dtype=np.complex128)
-    n_tx, n_rx, n_sub = frame.h.shape
+    if h.ndim != 3:
+        raise DimensionError(f"channel matrix must be 3-D, got shape {h.shape}")
+    n_tx, n_rx, n_sub = h.shape
     if not (0 <= tx_ant < n_tx and 0 <= rx_ant < n_rx):
         raise DimensionError(
             f"antenna pair ({tx_ant}, {rx_ant}) out of range for {n_tx}x{n_rx}")
     if tx.shape != (n_sub,) or noise.shape != (n_sub,):
         raise DimensionError(
             f"tx/noise must have shape ({n_sub},), got {tx.shape}/{noise.shape}")
+    _check_finite(h, "channel matrix")
     _check_finite(tx, "tx symbols")
     _check_finite(noise, "noise")
-    return frame.h[tx_ant, rx_ant] * tx + noise
+    return h[tx_ant, rx_ant] * tx + noise
 
 
 def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,
@@ -156,8 +149,7 @@ def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,
     """
     if n_tx < 1 or n_rx < 1 or n_sub < 1:
         raise ValidationError(f"antenna/subcarrier counts must be >= 1, got {n_tx}/{n_rx}/{n_sub}")
-    if sample_rate_hz <= 0:
-        raise ValidationError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    _check_rate(sample_rate_hz)
     n_frames = int(math.floor(spec.duration_s * sample_rate_hz))
     if n_frames < 1:
         raise ValidationError(
@@ -187,17 +179,12 @@ def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,
         h += (spec.noise_std / math.sqrt(2.0)) * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    frames = tuple(
-        CsiFrame(h=h[i], packet_index=i, timestamp=i / sample_rate_hz)
-        for i in range(n_frames))
-    return CsiStream(frames=frames, n_tx=n_tx, n_rx=n_rx, n_sub=n_sub,
-                     sample_rate_hz=sample_rate_hz, label=spec.class_id)
+    return CsiStream(h=h, sample_rate_hz=sample_rate_hz, label=spec.class_id)
 
 
 def amplitude(stream: CsiStream) -> np.ndarray:
     """Magnitude of every CSI entry, arranged as (n_sub, I, n_tx, n_rx)."""
-    stacked = stream.as_array()  # (I, n_tx, n_rx, n_sub)
-    return np.ascontiguousarray(np.abs(stacked).transpose(3, 0, 1, 2))
+    return np.ascontiguousarray(np.abs(stream.h).transpose(3, 0, 1, 2))
 
 
 def doppler_activity_spec(class_id: int, *, n_ant: int, duration_s: float = 1.0,

@@ -29,13 +29,15 @@ lines are "path<TAB>label<TAB>split" with split in {train, val, test}.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .csi import CsiFrame, CsiStream
+from .csi import CsiStream
 from .errors import (CompatibilityError, CorruptionError, FormatError,
                      ValidationError)
 from .network import SCORE_FNS, VARIANTS, Model, NetworkConfig
@@ -46,6 +48,10 @@ WEIGHTS_VERSION = 1
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # a declared size is checked against the file before it is allocated
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CorruptionError(f"truncated file: expected {n} bytes for {what}, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise CorruptionError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
@@ -72,15 +78,11 @@ def _expect_eof(f):
 # ---------------------------------------------------------------------------
 
 def save_stream(path, stream: CsiStream) -> None:
-    stacked = stream.as_array()  # (I, n_tx, n_rx, n_sub) complex128
-    interleaved = np.empty(stacked.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = stacked.real
-    interleaved[..., 1] = stacked.imag
     with open(path, "wb") as f:
         f.write(b"CSI1")
         f.write(struct.pack("<IIII", stream.n_tx, stream.n_rx, stream.n_sub, len(stream)))
         f.write(struct.pack("<d", stream.sample_rate_hz))
-        f.write(interleaved.tobytes())
+        f.write(stream.h.astype("<c16", copy=False).tobytes())  # interleaved <f8 re, im
 
 
 def load_stream(path) -> CsiStream:
@@ -93,13 +95,11 @@ def load_stream(path) -> CsiStream:
                 f"header declares empty stream: {n_tx}x{n_rx}x{n_sub}, {n_frames} frames")
         body = _read_exact(f, n_frames * n_tx * n_rx * n_sub * 16, "frame data")
         _expect_eof(f)
-    flat = np.frombuffer(body, dtype="<f8").reshape(n_frames, n_tx, n_rx, n_sub, 2)
-    h = flat[..., 0] + 1j * flat[..., 1]
-    frames = tuple(
-        CsiFrame(h=h[i], packet_index=i, timestamp=i / sample_rate)
-        for i in range(n_frames))
-    return CsiStream(frames=frames, n_tx=n_tx, n_rx=n_rx, n_sub=n_sub,
-                     sample_rate_hz=sample_rate)
+    h = np.frombuffer(body, dtype="<c16").reshape(n_frames, n_tx, n_rx, n_sub)
+    try:
+        return CsiStream(h=h, sample_rate_hz=sample_rate)
+    except ValidationError as exc:  # non-finite or non-positive rate, non-finite entries
+        raise CorruptionError(f"stream content: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def load_weights(path, model: Model) -> Model:
             name = _read_exact(f, name_len, "tensor name").decode("utf-8")
             (ndim,) = _read_struct(f, "<B", "tensor rank")
             shape = _read_struct(f, f"<{ndim}I", "tensor shape")
-            body = _read_exact(f, int(np.prod(shape)) * 8, f"tensor {name} data")
+            body = _read_exact(f, math.prod(shape) * 8, f"tensor {name} data")
             if name not in params:
                 raise CorruptionError(f"archive names unknown tensor {name!r}")
             target = params[name]

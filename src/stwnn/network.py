@@ -25,7 +25,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, UsageError
-from .volumes import Volume3D
 
 SCORE_FNS = ("tanh", "relu", "linear")
 VARIANTS = ("stwnn", "wnn2d")
@@ -277,58 +276,34 @@ def forward_graph(model: Model, x: Tensor):
 
 
 def _sample_to_array(sample, in_channels: int) -> np.ndarray:
-    """Normalize one sample to a (C, time, sub, ant) float array.
-
-    Accepts a Volume3D, a channel group (sequence of Volume3D, one per scale),
-    or an ndarray shaped (sub, time, ant) or (C, sub, time, ant).
-    """
-    if isinstance(sample, Volume3D):
-        arr = sample.data[None]
-    elif isinstance(sample, np.ndarray):
-        arr = sample[None] if sample.ndim == 3 else sample
-    elif isinstance(sample, (list, tuple)) and all(isinstance(v, Volume3D) for v in sample):
-        shape = sample[0].data.shape
-        for v in sample[1:]:
-            if v.data.shape != shape:
-                raise DimensionError("channel group volumes must share one shape")
-        arr = np.stack([v.data for v in sample])
-    else:
-        raise UsageError(f"unsupported sample type {type(sample).__name__}")
-    if arr.ndim != 4:
-        raise DimensionError(f"sample must be 3-D or 4-D, got shape {arr.shape}")
-    if arr.shape[0] != in_channels:
+    """Check one stored (C, sub, time, ant) sample and return it time-major."""
+    if not isinstance(sample, np.ndarray):
+        raise UsageError(f"a sample must be an ndarray, got {type(sample).__name__}")
+    if sample.ndim != 4:
+        raise DimensionError(f"sample must be 4-D (C, sub, time, ant), got shape {sample.shape}")
+    if sample.shape[0] != in_channels:
         raise DimensionError(
-            f"sample has {arr.shape[0]} channels, model expects {in_channels}")
+            f"sample has {sample.shape[0]} channels, model expects {in_channels}")
     # stored volumes are (sub, time, ant); the network runs time-major
-    return np.ascontiguousarray(arr.transpose(0, 2, 1, 3), dtype=np.float64)
+    return np.ascontiguousarray(sample.transpose(0, 2, 1, 3), dtype=np.float64)
 
 
-def _is_single_sample(model: Model, inputs) -> bool:
-    if isinstance(inputs, (Volume3D, np.ndarray)):
-        return True
-    if isinstance(inputs, (list, tuple)):
-        if not inputs:
-            raise UsageError("empty input")
-        if all(isinstance(v, Volume3D) for v in inputs):
-            # a flat Volume3D list is one channel group iff it matches the
-            # model's channel count; otherwise it is a batch of 1-channel samples
-            return len(inputs) == model.config.in_channels and model.config.in_channels > 1
-        return False
-    raise UsageError(f"unsupported input type {type(inputs).__name__}")
+def _forward_one(model: Model, sample):
+    x = Tensor(_sample_to_array(sample, model.config.in_channels))
+    logits_t, mask_t = forward_graph(model, x)
+    probs_t = ad.softmax(logits_t)
+    return logits_t.values.copy(), probs_t.values.copy(), mask_t.values.copy()
 
 
 def forward(model: Model, inputs):
     """Inference pass returning (logits, probs, mask) numpy arrays.
 
-    A single sample yields 1-D outputs; a batch (list of samples) yields
-    row-stacked 2-D outputs.
+    One (C, sub, time, ant) ndarray yields 1-D outputs; a list or tuple of
+    them yields row-stacked 2-D outputs.
     """
-    if _is_single_sample(model, inputs):
-        x = Tensor(_sample_to_array(inputs, model.config.in_channels))
-        logits_t, mask_t = forward_graph(model, x)
-        probs_t = ad.softmax(logits_t)
-        return logits_t.values.copy(), probs_t.values.copy(), mask_t.values.copy()
-    rows = [forward(model, sample) for sample in inputs]
-    return (np.stack([r[0] for r in rows]),
-            np.stack([r[1] for r in rows]),
-            np.stack([r[2] for r in rows]))
+    if not isinstance(inputs, (list, tuple)):
+        return _forward_one(model, inputs)
+    if not inputs:
+        raise UsageError("empty input")
+    rows = [_forward_one(model, sample) for sample in inputs]
+    return tuple(np.stack(column) for column in zip(*rows))

@@ -165,9 +165,10 @@ def _prepare(sample, model: net.Model) -> np.ndarray:
 def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     """Optimize in place; returns (model restored to best validation OA, history).
 
-    Datasets are sequences of (sample, label); samples follow the same forms
-    ``network.forward`` accepts. Shuffling is reseeded per epoch from the
-    config seed, so identical inputs give identical histories.
+    Datasets are sequences of (sample, label); each sample is one stored
+    (C, sub, time, ant) ndarray, as ``volumes.stack_channels`` returns.
+    Shuffling is reseeded per epoch from the config seed, so identical inputs
+    give identical histories.
     """
     n_classes = model.config.n_classes
     _check_dataset(train_set, n_classes, "train")
@@ -225,6 +226,11 @@ def confusion_metrics(y_true, y_pred, n_classes: int) -> Metrics:
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ValidationError("y_true and y_pred must be equal-length vectors")
+    for name, labels in (("true", y_true), ("predicted", y_pred)):
+        bad = labels[(labels < 0) | (labels >= n_classes)]
+        if bad.size:
+            raise ValidationError(
+                f"{name} label {bad[0]} out of range for {n_classes} classes")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(y_true, y_pred):
         confusion[t, p] += 1

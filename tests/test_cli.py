@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestSynth:
         assert (manifest.n_tx, manifest.n_rx, manifest.n_sub) == (3, 3, 30)
         assert manifest.sample_rate_hz == 100.0
         stream = dataio.load_stream(out / manifest.entries[0].path)
-        assert stream.frames[0].h.shape == (3, 3, 30)
+        assert stream.h.shape == (80, 3, 3, 30)
         assert stream.sample_rate_hz == 100.0
 
     def test_split_counts(self, tmp_path):
@@ -202,6 +203,19 @@ class TestExitCodesAndLogging:
         manifest = dataio.load_manifest(out / "manifest.tsv")
         victim = out / manifest.entries[0].path
         victim.write_bytes(victim.read_bytes()[:40])
+        assert run("segment", "--manifest", str(out / "manifest.tsv"),
+                   "--out", str(tmp_path / "v"), "--window", "32",
+                   "--overlap", "0") == 1
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan")])
+    def test_bad_sample_rate_is_runtime_failure(self, tmp_path, rate):
+        out = tmp_path / "d"
+        synth_small(out, per_class="1")
+        manifest = dataio.load_manifest(out / "manifest.tsv")
+        victim = out / manifest.entries[0].path
+        data = bytearray(victim.read_bytes())
+        data[20:28] = struct.pack("<d", rate)  # after magic and four u32 sizes
+        victim.write_bytes(bytes(data))
         assert run("segment", "--manifest", str(out / "manifest.tsv"),
                    "--out", str(tmp_path / "v"), "--window", "32",
                    "--overlap", "0") == 1

@@ -1,15 +1,13 @@
 """Channel model and synthetic stream generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stwnn import csi
 from stwnn.errors import DimensionError, ValidationError
-
-
-def make_frame(h, index=0):
-    return csi.CsiFrame(h=h, packet_index=index, timestamp=0.0)
 
 
 def simple_spec(n_ant=9, **kwargs):
@@ -22,13 +20,13 @@ def simple_spec(n_ant=9, **kwargs):
 
 class TestChannelApply:
     def test_identity_channel(self):
-        frame = make_frame(np.ones((2, 2, 8), dtype=complex))
-        out = csi.channel_apply(np.ones(8, dtype=complex), frame, np.zeros(8), 0, 1)
+        h = np.ones((2, 2, 8), dtype=complex)
+        out = csi.channel_apply(np.ones(8, dtype=complex), h, np.zeros(8), 0, 1)
         np.testing.assert_array_equal(out, np.ones(8, dtype=complex))
 
     def test_single_entry(self):
         h = np.full((1, 1, 1), 0.5 + 0.5j)
-        out = csi.channel_apply(np.ones(1, dtype=complex), make_frame(h), np.zeros(1), 0, 0)
+        out = csi.channel_apply(np.ones(1, dtype=complex), h, np.zeros(1), 0, 0)
         assert out[0] == pytest.approx(0.5 + 0.5j)
 
     def test_matches_elementwise_loop(self):
@@ -36,34 +34,35 @@ class TestChannelApply:
         h = rng.standard_normal((3, 3, 16)) + 1j * rng.standard_normal((3, 3, 16))
         tx = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         noise = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        out = csi.channel_apply(tx, make_frame(h), noise, 2, 1)
+        out = csi.channel_apply(tx, h, noise, 2, 1)
         ref = np.array([h[2, 1, s] * tx[s] + noise[s] for s in range(16)])
         np.testing.assert_allclose(out, ref, rtol=1e-15)
 
     def test_shape_errors(self):
-        frame = make_frame(np.ones((2, 2, 4), dtype=complex))
+        h = np.ones((2, 2, 4), dtype=complex)
         with pytest.raises(DimensionError):
-            csi.channel_apply(np.ones(3, dtype=complex), frame, np.zeros(4), 0, 0)
+            csi.channel_apply(np.ones(3, dtype=complex), h, np.zeros(4), 0, 0)
         with pytest.raises(DimensionError):
-            csi.channel_apply(np.ones(4, dtype=complex), frame, np.zeros(4), 2, 0)
+            csi.channel_apply(np.ones(4, dtype=complex), h, np.zeros(4), 2, 0)
+        with pytest.raises(DimensionError):  # a whole stream is not one packet's matrix
+            csi.channel_apply(np.ones(4, dtype=complex), h[None], np.zeros(4), 0, 0)
 
     def test_non_finite_rejected(self):
-        frame = make_frame(np.ones((1, 1, 2), dtype=complex))
+        h = np.ones((1, 1, 2), dtype=complex)
         with pytest.raises(ValidationError):
-            csi.channel_apply(np.array([np.inf, 1.0], dtype=complex), frame, np.zeros(2), 0, 0)
+            csi.channel_apply(np.array([np.inf, 1.0], dtype=complex), h, np.zeros(2), 0, 0)
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=50, deadline=None)
     def test_linearity_without_noise(self, a, b):
         rng = np.random.default_rng(12)
         h = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
-        frame = make_frame(h)
         tx1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         tx2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         zero = np.zeros(6)
-        lhs = csi.channel_apply(a * tx1 + b * tx2, frame, zero, 1, 0)
-        rhs = (a * csi.channel_apply(tx1, frame, zero, 1, 0)
-               + b * csi.channel_apply(tx2, frame, zero, 1, 0))
+        lhs = csi.channel_apply(a * tx1 + b * tx2, h, zero, 1, 0)
+        rhs = (a * csi.channel_apply(tx1, h, zero, 1, 0)
+               + b * csi.channel_apply(tx2, h, zero, 1, 0))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -71,22 +70,22 @@ class TestSynthStream:
     def test_frame_count_and_shape(self):
         stream = csi.synth_stream(simple_spec(), 3, 3, 30, 100.0)
         assert len(stream) == 100
-        assert stream.frames[0].h.shape == (3, 3, 30)
+        assert stream.h.shape == (100, 3, 3, 30)
+        assert (stream.n_tx, stream.n_rx, stream.n_sub) == (3, 3, 30)
         assert stream.sample_rate_hz == 100.0
 
     def test_static_channel_identical_frames(self):
         spec = simple_spec(motion_components=(csi.MotionComponent(
             doppler_hz=0.0, delay_weight=1.0, antenna_pattern=(1.0,) * 9),))
         stream = csi.synth_stream(spec, 3, 3, 10, 50.0)
-        first = stream.frames[0].h
-        for frame in stream.frames[1:]:
-            np.testing.assert_array_equal(frame.h, first)
+        for packet in stream.h[1:]:
+            np.testing.assert_array_equal(packet, stream.h[0])
 
     def test_deterministic(self):
         spec = simple_spec(noise_std=0.3)
         s1 = csi.synth_stream(spec, 3, 3, 30, 100.0)
         s2 = csi.synth_stream(spec, 3, 3, 30, 100.0)
-        np.testing.assert_array_equal(s1.as_array(), s2.as_array())
+        np.testing.assert_array_equal(s1.h, s2.h)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValidationError):
@@ -102,25 +101,17 @@ class TestSynthStream:
         with pytest.raises(DimensionError):
             csi.synth_stream(spec, 3, 3, 8, 100.0)
 
-    def test_packet_indices_and_timestamps(self):
-        stream = csi.synth_stream(simple_spec(n_ant=1, duration_s=0.1), 1, 1, 4, 100.0)
-        for i, frame in enumerate(stream.frames):
-            assert frame.packet_index == i
-            assert frame.timestamp == pytest.approx(i / 100.0)
-
     def test_label_carried(self):
         assert csi.synth_stream(simple_spec(n_ant=1, class_id=2), 1, 1, 2, 100.0).label == 2
 
 
 class TestAmplitude:
     def test_pythagorean(self):
-        frame = make_frame(np.full((1, 1, 1), 3.0 + 4.0j))
-        stream = csi.CsiStream(frames=(frame,), n_tx=1, n_rx=1, n_sub=1, sample_rate_hz=1.0)
+        stream = csi.CsiStream(h=np.full((1, 1, 1, 1), 3.0 + 4.0j), sample_rate_hz=1.0)
         assert csi.amplitude(stream)[0, 0, 0, 0] == pytest.approx(5.0)
 
     def test_zero(self):
-        frame = make_frame(np.zeros((1, 1, 1), dtype=complex))
-        stream = csi.CsiStream(frames=(frame,), n_tx=1, n_rx=1, n_sub=1, sample_rate_hz=1.0)
+        stream = csi.CsiStream(h=np.zeros((1, 1, 1, 1), dtype=complex), sample_rate_hz=1.0)
         assert csi.amplitude(stream)[0, 0, 0, 0] == 0.0
 
     def test_matches_elementwise_oracle_and_layout(self):
@@ -131,7 +122,7 @@ class TestAmplitude:
             for i in range(7):
                 for t in range(2):
                     for r in range(3):
-                        z = stream.frames[i].h[t, r, s]
+                        z = stream.h[i, t, r, s]
                         ref = np.sqrt(z.real ** 2 + z.imag ** 2)
                         assert out[s, i, t, r] == pytest.approx(ref, rel=1e-12)
         assert np.all(out >= 0)
@@ -140,34 +131,52 @@ class TestAmplitude:
         stream = csi.synth_stream(simple_spec(n_ant=4, noise_std=0.1, duration_s=0.05), 2, 2, 6, 100.0)
         base = csi.amplitude(stream)
         phase = np.exp(1j * 1.234)
-        rotated = csi.CsiStream(
-            frames=tuple(csi.CsiFrame(h=f.h * phase, packet_index=f.packet_index,
-                                      timestamp=f.timestamp) for f in stream.frames),
-            n_tx=2, n_rx=2, n_sub=6, sample_rate_hz=100.0)
+        rotated = csi.CsiStream(h=stream.h * phase, sample_rate_hz=100.0)
         np.testing.assert_allclose(csi.amplitude(rotated), base, rtol=1e-12)
 
 
 class TestStreamInvariants:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValidationError):
-            csi.CsiStream(frames=(), n_tx=1, n_rx=1, n_sub=1, sample_rate_hz=1.0)
-
-    def test_packet_index_must_increment(self):
-        frames = (make_frame(np.ones((1, 1, 1), dtype=complex), index=0),
-                  make_frame(np.ones((1, 1, 1), dtype=complex), index=2))
+            csi.CsiStream(h=np.ones((0, 1, 1, 1), dtype=complex), sample_rate_hz=1.0)
         with pytest.raises(ValidationError):
-            csi.CsiStream(frames=frames, n_tx=1, n_rx=1, n_sub=1, sample_rate_hz=1.0)
+            csi.CsiStream(h=np.ones((2, 1, 0, 1), dtype=complex), sample_rate_hz=1.0)
 
     def test_shape_mismatch_rejected(self):
-        frames = (make_frame(np.ones((1, 1, 2), dtype=complex)),)
-        with pytest.raises(DimensionError):
-            csi.CsiStream(frames=frames, n_tx=1, n_rx=1, n_sub=3, sample_rate_hz=1.0)
+        for shape in [(1, 1, 2), (2, 1, 1, 2, 1), ()]:
+            with pytest.raises(DimensionError):
+                csi.CsiStream(h=np.ones(shape, dtype=complex), sample_rate_hz=1.0)
 
     def test_non_finite_frame_rejected(self):
-        h = np.ones((1, 1, 2), dtype=complex)
-        h[0, 0, 1] = np.nan
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            h = np.ones((3, 1, 1, 2), dtype=complex)
+            h[1, 0, 0, 1] = bad
+            with pytest.raises(ValidationError):
+                csi.CsiStream(h=h, sample_rate_hz=1.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, np.nan, np.inf])
+    def test_bad_sample_rate_rejected(self, rate):
         with pytest.raises(ValidationError):
-            make_frame(h)
+            csi.CsiStream(h=np.ones((1, 1, 1, 1), dtype=complex), sample_rate_hz=rate)
+
+    def test_read_only_copy_of_callers_array(self):
+        h = np.arange(12.0).reshape(3, 1, 2, 2) * (1 - 1j)
+        before = h.copy()
+        stream = csi.CsiStream(h=h, sample_rate_hz=10.0)
+        assert not stream.h.flags.writeable
+        with pytest.raises(ValueError):
+            stream.h[0, 0, 0, 0] = 5.0
+        assert h.flags.writeable
+        assert not np.shares_memory(h, stream.h)
+        h[0, 0, 0, 0] = 99.0
+        np.testing.assert_array_equal(stream.h, before)
+        assert stream.h.dtype == np.complex128
+
+    def test_sizes_follow_the_array(self):
+        stream = csi.CsiStream(h=np.ones((5, 2, 3, 4)), sample_rate_hz=10.0, label=1)
+        assert (len(stream), stream.n_tx, stream.n_rx, stream.n_sub) == (5, 2, 3, 4)
+        assert stream.label == 1
+        assert [f.name for f in dataclasses.fields(stream)] == ["h", "sample_rate_hz", "label"]
 
     def test_activity_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -15,10 +15,7 @@ from stwnn.volumes import Volume3D
 def random_stream(rng, n_tx=2, n_rx=2, n_sub=4, n_frames=5):
     h = rng.standard_normal((n_frames, n_tx, n_rx, n_sub)) \
         + 1j * rng.standard_normal((n_frames, n_tx, n_rx, n_sub))
-    frames = tuple(csi.CsiFrame(h=h[i], packet_index=i, timestamp=i / 100.0)
-                   for i in range(n_frames))
-    return csi.CsiStream(frames=frames, n_tx=n_tx, n_rx=n_rx, n_sub=n_sub,
-                         sample_rate_hz=100.0)
+    return csi.CsiStream(h=h, sample_rate_hz=100.0)
 
 
 class TestStreamRoundTrip:
@@ -27,7 +24,7 @@ class TestStreamRoundTrip:
         path = tmp_path / "s.csi1"
         dataio.save_stream(path, stream)
         loaded = dataio.load_stream(path)
-        np.testing.assert_array_equal(loaded.as_array(), stream.as_array())
+        np.testing.assert_array_equal(loaded.h, stream.h)
         assert (loaded.n_tx, loaded.n_rx, loaded.n_sub) == (2, 2, 4)
         assert loaded.sample_rate_hz == 100.0
 
@@ -62,7 +59,44 @@ class TestStreamRoundTrip:
         stream = random_stream(np.random.default_rng(seed), n_tx, n_rx, n_sub, n_frames)
         path = tmp_path_factory.mktemp("io") / "s.csi1"
         dataio.save_stream(path, stream)
-        np.testing.assert_array_equal(dataio.load_stream(path).as_array(), stream.as_array())
+        np.testing.assert_array_equal(dataio.load_stream(path).h, stream.h)
+
+    def test_documented_layout(self, tmp_path):
+        h = np.array([1.5 - 2j, -0.0 + 3j, 4.25 + 0j, -1e-300 - 7.5j,
+                      2j, 6.0 + 1j]).reshape(3, 1, 1, 2)
+        path = tmp_path / "s.csi1"
+        dataio.save_stream(path, csi.CsiStream(h=h, sample_rate_hz=250.0))
+        body = b"".join(struct.pack("<dd", z.real, z.imag) for z in h.reshape(-1))
+        assert path.read_bytes() == b"CSI1" + struct.pack("<IIIId", 1, 1, 2, 3, 250.0) + body
+
+
+def write_csi1(path, n_tx=1, n_rx=1, n_sub=2, n_frames=3, rate=100.0, values=None):
+    """A CSI1 file written field by field from the documented layout."""
+    count = n_tx * n_rx * n_sub * n_frames
+    values = [0.5] * (2 * count) if values is None else values
+    path.write_bytes(b"CSI1" + struct.pack("<IIIId", n_tx, n_rx, n_sub, n_frames, rate)
+                     + struct.pack(f"<{len(values)}d", *values))
+    return path
+
+
+class TestStreamHeaderFaults:
+    @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
+    def test_bad_sample_rate_is_corruption(self, tmp_path, rate):
+        with pytest.raises(CorruptionError, match="sample_rate"):
+            dataio.load_stream(write_csi1(tmp_path / "s.csi1", rate=rate))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_payload_is_corruption(self, tmp_path, bad):
+        values = [0.5] * 12
+        values[7] = bad
+        with pytest.raises(CorruptionError, match="non-finite"):
+            dataio.load_stream(write_csi1(tmp_path / "s.csi1", values=values))
+
+    def test_huge_declared_stream_is_corruption(self, tmp_path):
+        path = write_csi1(tmp_path / "s.csi1", n_tx=4000, n_rx=4000, n_sub=4000,
+                          n_frames=4000, values=[0.5] * 12)
+        with pytest.raises(CorruptionError, match="truncated"):
+            dataio.load_stream(path)
 
 
 def random_volumes(rng, count):
@@ -105,6 +139,14 @@ class TestVolumeRoundTrip:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(CorruptionError):
+            dataio.load_volumes(path)
+
+    def test_huge_declared_dims_are_corruption(self, tmp_path):
+        path = tmp_path / "v.vol1"
+        path.write_bytes(b"VOL1" + struct.pack("<I", 1)
+                         + struct.pack("<IIIIIi", 2**31, 2**31, 2**31, 1, 0, -1)
+                         + b"\0" * 64)
+        with pytest.raises(CorruptionError, match="truncated"):
             dataio.load_volumes(path)
 
     def test_count_overstates_content(self, tmp_path):
@@ -158,6 +200,19 @@ class TestWeightsRoundTrip:
         path = tmp_path / "m.wgt1"
         dataio.save_weights(path, model)
         assert dataio.peek_weights_config(path) == model.config
+
+    def test_huge_declared_tensor_is_corruption(self, tmp_path):
+        model = net.build_model(net.NetworkConfig(**self.CFG))
+        path = tmp_path / "m.wgt1"
+        dataio.save_weights(path, model)
+        data = bytearray(path.read_bytes())
+        name = b"block0.conv1.weight"
+        at = data.index(name) + len(name)  # then ndim u8 and the dims
+        ndim = data[at]
+        data[at + 1:at + 1 + 4 * ndim] = struct.pack(f"<{ndim}I", *[2**32 - 1] * ndim)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="truncated"):
+            dataio.load_weights(path, net.build_model(net.NetworkConfig(**self.CFG)))
 
     def test_truncated_tensor_data(self, tmp_path):
         model = net.build_model(net.NetworkConfig(**self.CFG))

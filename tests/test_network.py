@@ -41,9 +41,9 @@ class TestBuildModel:
 
     def test_default_shape_propagation(self):
         model = net.build_model(net.NetworkConfig(n_classes=4, in_channels=3, seed=1))
-        vols = [Volume3D(data=np.random.default_rng(s).standard_normal((30, 32, 9)),
-                         scale=s + 1) for s in range(3)]
-        logits, probs, mask = net.forward(model, vols)
+        sample = np.stack([np.random.default_rng(s).standard_normal((30, 32, 9))
+                           for s in range(3)])
+        logits, probs, mask = net.forward(model, sample)
         assert logits.shape == (4,)
         assert probs.shape == (4,)
         assert mask.shape == (model.config.feature_dim,)
@@ -226,12 +226,28 @@ class TestForward:
 
     def test_single_volume_when_one_channel(self):
         model = tiny_model(in_channels=1)
-        v = Volume3D(data=np.random.default_rng(28).standard_normal((4, 6, 9)), scale=1)
-        logits, probs, mask = net.forward(model, v)
+        x = np.random.default_rng(28).standard_normal((1, 4, 6, 9))
+        logits, probs, mask = net.forward(model, x)
         assert logits.shape == (2,)
-        # a flat list of volumes with a 1-channel model is a batch
-        logits_b, _, _ = net.forward(model, [v, v])
+        # a list of samples is always a batch, whatever the channel count
+        logits_b, _, _ = net.forward(model, [x, x])
         assert logits_b.shape == (2, 2)
+        np.testing.assert_array_equal(logits_b[0], logits)
+
+    def test_only_sample_arrays_accepted(self):
+        model = tiny_model()  # two input channels
+        rng = np.random.default_rng(31)
+        vols = [Volume3D(data=rng.standard_normal((4, 6, 9)), scale=s) for s in (1, 2)]
+        with pytest.raises(UsageError):
+            net.forward(model, vols)  # a channel group must be stacked first
+        with pytest.raises(UsageError):
+            net.forward(model, vols[0])
+        with pytest.raises(UsageError):
+            net.forward(model, [])
+        with pytest.raises(DimensionError):
+            net.forward(model, rng.standard_normal((4, 6, 9)))  # 3-D: no channel axis
+        with pytest.raises(DimensionError):
+            net.forward(tiny_model(in_channels=1), rng.standard_normal((4, 6, 9)))
 
     def test_end_to_end_gradcheck_tiny(self):
         # full-model gradient flow through attention, gate and both loss branches

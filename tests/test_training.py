@@ -222,6 +222,13 @@ class TestEvaluate:
         m = tr.confusion_metrics(y_true, y_pred, 6)
         assert 0.10 <= m.overall_accuracy <= 0.24
 
+    def test_out_of_range_labels_rejected(self):
+        for y_true, y_pred in (([-1, 0], [0, 0]), ([0, 3], [0, 0]),
+                               ([0, 0], [0, -1]), ([0, 1], [3, 1])):
+            with pytest.raises(ValidationError, match="out of range"):
+                tr.confusion_metrics(y_true, y_pred, 3)
+        assert tr.confusion_metrics([2, 0], [2, 1], 3).overall_accuracy == 0.5
+
     def test_perfect_model_after_memorization(self):
         model = tiny_model()
         data = tiny_dataset(2)
