@@ -1,9 +1,16 @@
 """Batch command-line pipeline: synth, segment, train, eval, shift.
 
-Settings resolve as flags > config file > defaults. The config file holds
-flat dotted keys, one "key = value" per line, "#" comments. The STWNN_LOG
-environment variable (debug/info/warning) selects log verbosity. Exit codes:
-0 success, 1 runtime failure, 2 usage or config error.
+Every setting is one row of ``SETTINGS``: its config key, its flag, the cast
+applied to flag and file text, and its default. Each subcommand reads the
+rows of its key groups: synth ``synth.*``, segment ``segment.*``, shift the
+``segment.*`` rows but ``--out`` (it has its own), train ``train.*`` and
+``net.*``, eval none. Settings resolve as flags > config file > defaults,
+and each command logs one ``config <key> = <value>`` line per key it reads,
+sorted by key. The config file holds flat dotted keys, one "key = value" per
+line, "#" comments; any key of the table is accepted by every subcommand, so
+one file can serve the whole pipeline, and any other key is an error. The
+STWNN_LOG environment variable (debug/info/warning/quiet) selects log
+verbosity. Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -30,7 +37,58 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+def _int_list(text) -> tuple:
+    return tuple(int(x) for x in str(text).split(","))
+
+
+# (config key, flag, cast for flag and file text, default)
+SETTINGS = (
+    ("synth.out", "--out", str, "data"),
+    ("synth.classes", "--classes", int, 3),
+    ("synth.per_class", "--per-class", int, 30),
+    ("synth.val_per_class", "--val-per-class", int, 3),
+    ("synth.test_per_class", "--test-per-class", int, 10),
+    ("synth.duration", "--duration", float, 1.0),
+    ("synth.rate", "--rate", float, 100.0),
+    ("synth.tx", "--tx", int, 3),
+    ("synth.rx", "--rx", int, 3),
+    ("synth.subcarriers", "--subcarriers", int, 30),
+    ("synth.noise_std", "--noise-std", float, 0.1),
+    ("synth.seed", "--seed", int, 0),
+    ("segment.out", "--out", str, "volumes"),
+    ("segment.window", "--window", int, 32),
+    ("segment.overlap", "--overlap", int, 16),
+    ("segment.scales", "--scales", _int_list, (1, 2, 4)),
+    ("segment.target", "--target", _int_list, (30, 32, 9)),
+    ("train.epochs", "--epochs", int, 10),
+    ("train.batch_size", "--batch-size", int, 16),
+    ("train.lambda", "--lambda", float, 0.5),
+    ("train.lr", "--lr", float, 0.01),
+    ("train.momentum", "--momentum", float, 0.9),
+    ("train.seed", "--seed", int, 0),
+    ("net.blocks", "--blocks", _int_list, (8, 16, 32)),
+    ("net.kernel", "--kernel", _int_list, (3, 3, 3)),
+    ("net.feature_dim", "--feature-dim", int, 32),
+    ("net.score_fn", "--score-fn", str, "tanh"),
+    ("net.variant", "--variant", str, "stwnn"),
+    ("net.seed", "--net-seed", int, 0),
+)
+
+
+def _rows(*groups, skip=()) -> tuple:
+    """The table rows whose key group is in ``groups``, minus the flags in ``skip``."""
+    return tuple(row for row in SETTINGS
+                 if row[0].partition(".")[0] in groups and row[1] not in skip)
+
+
+def _group(settings: dict, group: str) -> dict:
+    """The resolved settings of one key group, keyed by the part after the dot."""
+    return {key.partition(".")[2]: value for key, value in settings.items()
+            if key.partition(".")[0] == group}
+
+
 def _load_config_file(path) -> dict:
+    known = {row[0] for row in SETTINGS}
     values = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -40,109 +98,83 @@ def _load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value.strip()
     return values
 
 
-def _resolve(args, file_values: dict, key: str, cast, default):
-    """flags > config file > default."""
-    flag = getattr(args, key.replace(".", "_").replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {file_values[key]!r}") from exc
-    return default
-
-
-def _int_list(text) -> tuple:
-    return tuple(int(x) for x in str(text).split(","))
-
-
-def _echo(settings: dict):
+def _settings(args) -> dict:
+    """{key: value} for the subcommand's rows, resolved as flag > config file
+    > default with the row's cast; logs one sorted ``config`` line per key."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    settings = {}
+    for key, _, cast, default in args.rows:
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            try:
+                value = cast(file_values[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"config key {key!r}: cannot parse {file_values[key]!r}") from exc
+        settings[key] = default if value is None else value
     for key in sorted(settings):
         log.info("config %s = %s", key, settings[key])
+    return settings
 
 
 def _stream_name(split: str, class_id: int, index: int) -> str:
     return f"{split}_c{class_id}_{index:04d}.csi1"
 
 
-def _cmd_synth(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    r = lambda key, cast, default: _resolve(args, file_values, key, cast, default)
-    settings = {
-        "synth.out": r("synth.out", str, "data"),
-        "synth.classes": r("synth.classes", int, 3),
-        "synth.per_class": r("synth.per_class", int, 30),
-        "synth.val_per_class": r("synth.val_per_class", int, 3),
-        "synth.test_per_class": r("synth.test_per_class", int, 10),
-        "synth.duration": r("synth.duration", float, 1.0),
-        "synth.rate": r("synth.rate", float, 100.0),
-        "synth.tx": r("synth.tx", int, 3),
-        "synth.rx": r("synth.rx", int, 3),
-        "synth.subcarriers": r("synth.subcarriers", int, 30),
-        "synth.noise_std": r("synth.noise_std", float, 0.1),
-        "synth.seed": r("synth.seed", int, 0),
-    }
-    _echo(settings)
-    n_classes = settings["synth.classes"]
+def _cmd_synth(args, settings: dict) -> int:
+    s = _group(settings, "synth")
+    n_classes = s["classes"]
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
-    per_split = {"train": settings["synth.per_class"],
-                 "val": settings["synth.val_per_class"],
-                 "test": settings["synth.test_per_class"]}
+    per_split = {"train": s["per_class"], "val": s["val_per_class"],
+                 "test": s["test_per_class"]}
     if per_split["train"] < 1 or per_split["test"] < 1:
         raise ValidationError("per-class stream counts for train and test must be >= 1")
     if per_split["val"] < 0:
         raise ValidationError("val per-class stream count must be >= 0")
 
-    out_dir = Path(settings["synth.out"])
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_tx, n_rx, n_sub = settings["synth.tx"], settings["synth.rx"], settings["synth.subcarriers"]
+    n_tx, n_rx, n_sub = s["tx"], s["rx"], s["subcarriers"]
     entries = []
     for split_index, split in enumerate(("train", "val", "test")):
         for class_id in range(n_classes):
             for k in range(per_split[split]):
                 seed = int(np.random.default_rng(
-                    [settings["synth.seed"], split_index, class_id, k]).integers(2**32))
+                    [s["seed"], split_index, class_id, k]).integers(2**32))
                 spec = csi.doppler_activity_spec(
-                    class_id, n_ant=n_tx * n_rx,
-                    duration_s=settings["synth.duration"],
-                    noise_std=settings["synth.noise_std"], seed=seed)
-                stream = csi.synth_stream(spec, n_tx, n_rx, n_sub, settings["synth.rate"])
+                    class_id, n_ant=n_tx * n_rx, duration_s=s["duration"],
+                    noise_std=s["noise_std"], seed=seed)
+                stream = csi.synth_stream(spec, n_tx, n_rx, n_sub, s["rate"])
                 name = _stream_name(split, class_id, k)
                 dataio.save_stream(out_dir / name, stream)
                 entries.append(dataio.ManifestEntry(path=name, label=class_id, split=split))
     manifest = dataio.DatasetManifest(
         entries=entries, n_classes=n_classes, n_tx=n_tx, n_rx=n_rx, n_sub=n_sub,
-        sample_rate_hz=settings["synth.rate"])
+        sample_rate_hz=s["rate"])
     dataio.write_manifest(out_dir / "manifest.tsv", manifest)
     print(f"wrote {len(entries)} streams and manifest.tsv to {out_dir}")
     return EXIT_OK
 
 
-def _seg_config(args, file_values) -> volumes.SegmentationConfig:
-    r = lambda key, cast, default: _resolve(args, file_values, key, cast, default)
-    cfg = volumes.SegmentationConfig(
-        window=r("segment.window", int, 32),
-        overlap=r("segment.overlap", int, 16),
-        scales=r("segment.scales", _int_list, (1, 2, 4)),
-        target_shape=r("segment.target", _int_list, (30, 32, 9)))
-    for key, value in (("segment.window", cfg.window), ("segment.overlap", cfg.overlap),
-                       ("segment.scales", cfg.scales), ("segment.target", cfg.target_shape)):
-        log.info("config %s = %s", key, value)
-    return cfg
+def _seg_config(s: dict) -> volumes.SegmentationConfig:
+    return volumes.SegmentationConfig(window=s["window"], overlap=s["overlap"],
+                                      scales=s["scales"], target_shape=s["target"])
 
 
-def _cmd_segment(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    cfg = _seg_config(args, file_values)
+def _cmd_segment(args, settings: dict) -> int:
+    s = _group(settings, "segment")
+    cfg = _seg_config(s)
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
-    out_dir = Path(_resolve(args, file_values, "segment.out", str, "volumes"))
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
@@ -187,24 +219,11 @@ def _load_samples(manifest_path: Path, split: str):
     return dataset, manifest.n_classes, n_channels
 
 
-def _net_config(args, file_values, n_classes: int, in_channels: int) -> network.NetworkConfig:
-    r = lambda key, cast, default: _resolve(args, file_values, key, cast, default)
-    cfg = network.NetworkConfig(
-        n_classes=n_classes,
-        in_channels=in_channels,
-        block_channels=r("net.blocks", _int_list, (8, 16, 32)),
-        kernel=r("net.kernel", _int_list, (3, 3, 3)),
-        feature_dim=r("net.feature_dim", int, 32),
-        score_fn=r("net.score_fn", str, "tanh"),
-        variant=r("net.variant", str, "stwnn"),
-        seed=r("net.seed", int, 0))
-    log.info("config net = %s", cfg)
-    return cfg
-
-
-def _cmd_train(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    r = lambda key, cast, default: _resolve(args, file_values, key, cast, default)
+def _cmd_train(args, settings: dict) -> int:
+    t, n = _group(settings, "train"), _group(settings, "net")
+    cfg = training.TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
+                               mix=t["lambda"], lr=t["lr"], momentum=t["momentum"],
+                               seed=t["seed"])
     manifest_path = Path(args.manifest)
     train_set, n_classes, in_channels = _load_samples(manifest_path, "train")
     if not train_set:
@@ -214,18 +233,10 @@ def _cmd_train(args) -> int:
         val_set = train_set
         log.info("no val split found; validating on the train split")
 
-    cfg = training.TrainConfig(
-        epochs=r("train.epochs", int, 10),
-        batch_size=r("train.batch_size", int, 16),
-        mix=r("train.lambda", float, 0.5),
-        lr=r("train.lr", float, 0.01),
-        momentum=r("train.momentum", float, 0.9),
-        seed=r("train.seed", int, 0))
-    _echo({"train.epochs": cfg.epochs, "train.batch_size": cfg.batch_size,
-           "train.lambda": cfg.mix, "train.lr": cfg.lr,
-           "train.momentum": cfg.momentum, "train.seed": cfg.seed})
-
-    model = network.build_model(_net_config(args, file_values, n_classes, in_channels))
+    model = network.build_model(network.NetworkConfig(
+        n_classes=n_classes, in_channels=in_channels, block_channels=n["blocks"],
+        kernel=n["kernel"], feature_dim=n["feature_dim"], score_fn=n["score_fn"],
+        variant=n["variant"], seed=n["seed"]))
     model, history = training.train(model, train_set, val_set, cfg)
     for stats in history:
         print(f"epoch {stats.epoch}\tloss {stats.train_loss:.6f}\tval_oa {stats.val_accuracy:.4f}")
@@ -268,7 +279,7 @@ def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Pat
                 f.write(f"confusion\t{t},{p}\t{metrics.confusion[t, p]}\n")
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
     test_set, n_classes, _ = _load_samples(manifest_path, "test")
     model = _load_model(Path(args.weights))
@@ -284,10 +295,8 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_shift(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    cfg = _seg_config(args, file_values)
-    max_shift = args.max_shift if args.max_shift is not None else 2
+def _cmd_shift(args, settings: dict) -> int:
+    cfg = _seg_config(_group(settings, "segment"))
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     model = _load_model(Path(args.weights))
@@ -295,7 +304,7 @@ def _cmd_shift(args) -> int:
     rows = []
     for e in manifest.split("test"):
         stream = dataio.load_stream(manifest_path.parent / e.path)
-        agreement = training.shift_consistency(model, stream, cfg, max_shift)
+        agreement = training.shift_consistency(model, stream, cfg, args.max_shift)
         rows.append((e.path, agreement))
     if not rows:
         raise UsageError("manifest has no test entries")
@@ -310,78 +319,42 @@ def _cmd_shift(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", help="config file with flat dotted keys")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stwnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic CSI dataset")
-    _add_config_flag(p)
-    p.add_argument("--out", dest="synth_out")
-    p.add_argument("--classes", dest="synth_classes", type=int)
-    p.add_argument("--per-class", dest="synth_per_class", type=int)
-    p.add_argument("--val-per-class", dest="synth_val_per_class", type=int)
-    p.add_argument("--test-per-class", dest="synth_test_per_class", type=int)
-    p.add_argument("--duration", dest="synth_duration", type=float)
-    p.add_argument("--rate", dest="synth_rate", type=float)
-    p.add_argument("--tx", dest="synth_tx", type=int)
-    p.add_argument("--rx", dest="synth_rx", type=int)
-    p.add_argument("--subcarriers", dest="synth_subcarriers", type=int)
-    p.add_argument("--noise-std", dest="synth_noise_std", type=float)
-    p.add_argument("--seed", dest="synth_seed", type=int)
-    p.set_defaults(func=_cmd_synth)
+    def command(name, func, help_text, rows=()):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="config file with flat dotted keys")
+        for key, flag, cast, default in rows:
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument(flag, dest=key, type=cast, help=f"config key {key}, default {shown}")
+        p.set_defaults(func=func, rows=rows)
+        return p
 
-    p = sub.add_parser("segment", help="cut streams into multi-scale volumes")
-    _add_config_flag(p)
+    command("synth", _cmd_synth, "generate a labeled synthetic CSI dataset", _rows("synth"))
+
+    p = command("segment", _cmd_segment, "cut streams into multi-scale volumes",
+                _rows("segment"))
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", dest="segment_out")
-    p.add_argument("--window", dest="segment_window", type=int)
-    p.add_argument("--overlap", dest="segment_overlap", type=int)
-    p.add_argument("--scales", dest="segment_scales", type=_int_list)
-    p.add_argument("--target", dest="segment_target", type=_int_list)
-    p.set_defaults(func=_cmd_segment)
 
-    p = sub.add_parser("train", help="train a model on segmented volumes")
-    _add_config_flag(p)
+    p = command("train", _cmd_train, "train a model on segmented volumes",
+                _rows("train", "net"))
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="weight archive path")
-    p.add_argument("--epochs", dest="train_epochs", type=int)
-    p.add_argument("--batch-size", dest="train_batch_size", type=int)
-    p.add_argument("--lambda", dest="train_lambda", type=float)
-    p.add_argument("--lr", dest="train_lr", type=float)
-    p.add_argument("--momentum", dest="train_momentum", type=float)
-    p.add_argument("--seed", dest="train_seed", type=int)
-    p.add_argument("--blocks", dest="net_blocks", type=_int_list)
-    p.add_argument("--kernel", dest="net_kernel", type=_int_list)
-    p.add_argument("--feature-dim", dest="net_feature_dim", type=int)
-    p.add_argument("--score-fn", dest="net_score_fn")
-    p.add_argument("--variant", dest="net_variant")
-    p.add_argument("--net-seed", dest="net_seed", type=int)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate weights on a test split")
-    _add_config_flag(p)
+    p = command("eval", _cmd_eval, "evaluate weights on a test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--report")
     p.add_argument("--metrics")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("shift", help="prediction agreement under window shifts")
-    _add_config_flag(p)
+    p = command("shift", _cmd_shift, "prediction agreement under window shifts",
+                _rows("segment", skip=("--out",)))
     p.add_argument("--manifest", required=True, help="streams manifest")
     p.add_argument("--weights", required=True)
-    p.add_argument("--max-shift", dest="max_shift", type=int)
+    p.add_argument("--max-shift", type=int, default=2)
     p.add_argument("--out")
-    p.add_argument("--window", dest="segment_window", type=int)
-    p.add_argument("--overlap", dest="segment_overlap", type=int)
-    p.add_argument("--scales", dest="segment_scales", type=_int_list)
-    p.add_argument("--target", dest="segment_target", type=_int_list)
-    p.set_defaults(func=_cmd_shift)
-
     return parser
 
 
@@ -401,7 +374,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except _USAGE_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_USAGE

@@ -101,8 +101,8 @@ class ActivitySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+            raise ValidationError(f"duration_s must be finite and > 0, got {self.duration_s}")
         components = tuple(self.motion_components)
         if not components:
             raise ValidationError("an activity needs at least one motion component")

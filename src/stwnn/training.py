@@ -7,6 +7,7 @@ from the attention mask. Evaluation always uses the plain branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class TrainConfig:
         if not 0.0 <= self.mix <= 1.0:
             raise ConfigError(f"mix must be in [0, 1], got {self.mix}")
         # lr == 0 is allowed so a no-op optimizer stays expressible
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not math.isfinite(self.lr) or self.lr < 0:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1:
@@ -224,8 +225,8 @@ def confusion_metrics(y_true, y_pred, n_classes: int) -> Metrics:
     """Confusion matrix (rows = true class), per-class accuracy, and OA."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise ValidationError("y_true and y_pred must be equal-length vectors")
+    if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
+        raise ValidationError("y_true and y_pred must be equal-length non-empty vectors")
     for name, labels in (("true", y_true), ("predicted", y_pred)):
         bad = labels[(labels < 0) | (labels >= n_classes)]
         if bad.size:

@@ -1,6 +1,7 @@
 """Command-line pipeline: flags, exit codes, determinism, file outputs."""
 
 import filecmp
+import logging
 import os
 import struct
 
@@ -32,6 +33,10 @@ class TestSynth:
 
     def test_zero_per_class_is_usage_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "x"), "--per-class", "0") == 2
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_is_usage_error(self, tmp_path, duration):
+        assert synth_small(tmp_path / "x", duration=duration) == 2
 
     def test_default_shape_constants(self, tmp_path):
         out = tmp_path / "d"
@@ -156,6 +161,12 @@ class TestTrainEvalShift:
         assert run("eval", "--manifest", str(vols3 / "manifest.tsv"),
                    "--weights", str(small_pipeline["weights"])) == 2
 
+    def test_non_finite_lr_is_usage_error(self, small_pipeline, tmp_path):
+        weights = tmp_path / "nan.wgt1"
+        assert run("train", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--out", str(weights), "--epochs", "1", "--lr", "nan") == 2
+        assert not weights.exists()
+
     def test_lambda_zero_history_matches_library_train(self, small_pipeline, tmp_path):
         from stwnn import network, training, volumes as vol_mod
 
@@ -229,6 +240,113 @@ class TestExitCodesAndLogging:
         assert "config synth.seed = 7" in capsys.readouterr().err
 
 
+# Every config key's flag and default, pinned so that a change to either shows.
+SETTINGS = {
+    "synth.out": ("--out", "data"),
+    "synth.classes": ("--classes", 3),
+    "synth.per_class": ("--per-class", 30),
+    "synth.val_per_class": ("--val-per-class", 3),
+    "synth.test_per_class": ("--test-per-class", 10),
+    "synth.duration": ("--duration", 1.0),
+    "synth.rate": ("--rate", 100.0),
+    "synth.tx": ("--tx", 3),
+    "synth.rx": ("--rx", 3),
+    "synth.subcarriers": ("--subcarriers", 30),
+    "synth.noise_std": ("--noise-std", 0.1),
+    "synth.seed": ("--seed", 0),
+    "segment.out": ("--out", "volumes"),
+    "segment.window": ("--window", 32),
+    "segment.overlap": ("--overlap", 16),
+    "segment.scales": ("--scales", (1, 2, 4)),
+    "segment.target": ("--target", (30, 32, 9)),
+    "train.epochs": ("--epochs", 10),
+    "train.batch_size": ("--batch-size", 16),
+    "train.lambda": ("--lambda", 0.5),
+    "train.lr": ("--lr", 0.01),
+    "train.momentum": ("--momentum", 0.9),
+    "train.seed": ("--seed", 0),
+    "net.blocks": ("--blocks", (8, 16, 32)),
+    "net.kernel": ("--kernel", (3, 3, 3)),
+    "net.feature_dim": ("--feature-dim", 32),
+    "net.score_fn": ("--score-fn", "tanh"),
+    "net.variant": ("--variant", "stwnn"),
+    "net.seed": ("--net-seed", 0),
+}
+# The flags each subcommand requires besides its settings; none is read
+# before the settings resolve.
+REQUIRED = {
+    "synth": [],
+    "segment": ["--manifest", "m.tsv"],
+    "shift": ["--manifest", "m.tsv", "--weights", "w.wgt1"],
+    "train": ["--manifest", "m.tsv", "--out", "w.wgt1"],
+    "eval": ["--manifest", "m.tsv", "--weights", "w.wgt1"],
+}
+COMMAND_KEYS = {
+    "synth": [k for k in SETTINGS if k.startswith("synth.")],
+    "segment": [k for k in SETTINGS if k.startswith("segment.")],
+    "shift": [k for k in SETTINGS if k.startswith("segment.") and k != "segment.out"],
+    "train": [k for k in SETTINGS if k.startswith(("train.", "net."))],
+    "eval": [],
+}
+
+
+def sample_texts(default):
+    """(file text, its value, flag text, its value, unparseable text or None)."""
+    if isinstance(default, tuple):
+        return "4,5", (4, 5), "6,7", (6, 7), "4,x"
+    if isinstance(default, float):
+        return "0.25", 0.25, "0.75", 0.75, "x"
+    if isinstance(default, int):
+        return "7", 7, "9", 9, "x"
+    return "abc", "abc", "xyz", "xyz", None  # any text is a valid string
+
+
+def resolve(*argv):
+    return cli._settings(cli._build_parser().parse_args(list(argv)))
+
+
+class TestSettingsTable:
+    def test_table_matches_pinned_settings(self):
+        assert {key: (flag, default) for key, flag, _, default in cli.SETTINGS} == SETTINGS
+        assert len(cli.SETTINGS) == len(SETTINGS) == 29
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_flag_over_file_over_default(self, key, tmp_path, capsys, monkeypatch):
+        flag, default = SETTINGS[key]
+        command = next(c for c, keys in COMMAND_KEYS.items() if key in keys)
+        required = REQUIRED[command]
+        file_text, file_value, flag_text, flag_value, bad_text = sample_texts(default)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {file_text}\n")
+
+        value = resolve(command, "--config", str(cfg), *required)[key]
+        assert value == file_value and type(value) is type(file_value)
+        value = resolve(command, "--config", str(cfg), flag, flag_text, *required)[key]
+        assert value == flag_value and type(value) is type(flag_value)
+        value = resolve(command, *required)[key]
+        assert value == default and type(value) is type(default)
+        if bad_text is not None:
+            cfg.write_text(f"{key} = {bad_text}\n")
+            assert run(command, "--config", str(cfg), *required) == 2
+            assert f"config key {key!r}: cannot parse" in capsys.readouterr().err
+
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run(command, "--help") == 0
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        assert f"{flag} {key.upper()} config key {key}, default {shown}" in " ".join(
+            capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
+    def test_echo_is_one_sorted_line_per_key(self, command, caplog):
+        caplog.set_level(logging.INFO, logger="stwnn")
+        settings = resolve(command, *REQUIRED[command])
+        echoed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("config")]
+        assert echoed == [f"config {key} = {settings[key]}" for key in sorted(settings)]
+        assert sorted(settings) == sorted(COMMAND_KEYS[command])
+        if command == "segment":
+            assert "config segment.scales = (1, 2, 4)" in echoed
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -244,6 +362,27 @@ class TestConfigFile:
                    "--per-class", "2") == 0
         manifest = dataio.load_manifest(tmp_path / "flag" / "manifest.tsv")
         assert len(manifest.split("train")) == 4  # flag wins over file
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.epochs = 1\ntrain.epoch = 5\n")
+        assert run("train", "--config", str(cfg), *REQUIRED["train"]) == 2
+        assert f"{cfg}:2: unknown config key 'train.epoch'" in capsys.readouterr().err
+
+    def test_one_file_serves_every_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        data, vols = tmp_path / "d", tmp_path / "v"
+        cfg.write_text("synth.classes = 2\nsynth.per_class = 1\nsynth.val_per_class = 0\n"
+                       f"synth.test_per_class = 1\nsynth.duration = 0.4\nsynth.out = {data}\n"
+                       "segment.window = 20\nsegment.overlap = 0\nsegment.scales = 1\n"
+                       f"segment.target = 12,16,9\nsegment.out = {vols}\n"
+                       "train.epochs = 1\nnet.blocks = 2\nnet.feature_dim = 4\n")
+        assert run("synth", "--config", str(cfg)) == 0
+        assert run("segment", "--config", str(cfg),
+                   "--manifest", str(data / "manifest.tsv")) == 0
+        assert run("train", "--config", str(cfg), "--manifest", str(vols / "manifest.tsv"),
+                   "--out", str(tmp_path / "m.wgt1")) == 0
+        assert len((tmp_path / "m.history.tsv").read_text().splitlines()) == 2
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

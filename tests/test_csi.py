@@ -183,5 +183,8 @@ class TestStreamInvariants:
             csi.ActivitySpec(class_id=0, duration_s=1.0, motion_components=())
         with pytest.raises(ValidationError):
             simple_spec(noise_std=-1.0)
+        for duration in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="duration_s"):
+                simple_spec(duration_s=duration)
         with pytest.raises(ValidationError):
             csi.MotionComponent(doppler_hz=1.0, delay_weight=-0.1, antenna_pattern=(1.0,))

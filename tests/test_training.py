@@ -193,8 +193,9 @@ class TestTrainLoop:
             tr.TrainConfig(epochs=1, mix=1.2)
         with pytest.raises(ConfigError):
             tr.TrainConfig(epochs=1, momentum=1.0)
-        with pytest.raises(ConfigError):
-            tr.TrainConfig(epochs=1, lr=-0.1)
+        for lr in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lr"):
+                tr.TrainConfig(epochs=1, lr=lr)
 
 
 class TestEvaluate:
@@ -228,6 +229,10 @@ class TestEvaluate:
             with pytest.raises(ValidationError, match="out of range"):
                 tr.confusion_metrics(y_true, y_pred, 3)
         assert tr.confusion_metrics([2, 0], [2, 1], 3).overall_accuracy == 0.5
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            tr.confusion_metrics([], [], 3)
 
     def test_perfect_model_after_memorization(self):
         model = tiny_model()
