@@ -3,10 +3,11 @@
 A Tensor wraps a C-contiguous numpy array plus an optional gradient buffer.
 Operations build an implicit graph through parent references and per-node
 backward closures; ``backward`` walks the graph once in reverse topological
-order. Gradients accumulate across calls until ``zero_grad`` is used.
+order. Gradients accumulate across calls until ``grad`` is reset to None.
 
 Everything runs in double precision. There is no broadcasting except the
-bias term of ``linear``/``conv3d`` and the explicit ``scale`` operator.
+bias term of ``linear``/``conv3d`` and the per-vector weights of
+``weighted_sum``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class Tensor:
     @property
     def size(self):
         return self.values.size
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -84,30 +82,12 @@ def mul_const(a: Tensor, c: float) -> Tensor:
     return _result(a.values * c, (a,), lambda g: (g * c,))
 
 
-def scale(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a single-element tensor (explicit scalar broadcast)."""
-    if s.size != 1:
-        raise DimensionError(f"scale factor must have one element, got shape {s.shape}")
-    av = a.values
-    s_shape = s.shape
-    sv = float(s.values.reshape(()))
-
-    def backward(g):
-        return g * sv, np.full(s_shape, np.sum(g * av))
-
-    return _result(av * sv, (a, s), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(d) for d in shape)
     if int(np.prod(shape)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     src_shape = a.shape
     return _result(a.values.reshape(shape), (a,), lambda g: (g.reshape(src_shape),))
-
-
-def flatten(a: Tensor) -> Tensor:
-    return reshape(a, (a.size,))
 
 
 def concat(tensors) -> Tensor:
@@ -127,21 +107,24 @@ def concat(tensors) -> Tensor:
     return _result(np.concatenate([t.values for t in tensors]), tensors, backward)
 
 
-def take(a: Tensor, index: int) -> Tensor:
-    """Pick one element of a 1-D tensor as a single-element tensor."""
-    if a.values.ndim != 1:
-        raise DimensionError(f"take expects a 1-D tensor, got shape {a.shape}")
-    index = int(index)
-    if not 0 <= index < a.size:
-        raise DimensionError(f"take index {index} out of range for size {a.size}")
-    n = a.size
+def weighted_sum(weights: Tensor, vectors) -> Tensor:
+    """sum_i weights[i] * vectors[i] for a 1-D weight tensor and equal-length 1-D vectors."""
+    vectors = list(vectors)
+    if not vectors:
+        raise UsageError("weighted_sum needs at least one vector")
+    if weights.values.ndim != 1 or weights.size != len(vectors):
+        raise DimensionError(
+            f"weighted_sum needs one weight per vector, got {weights.shape} for {len(vectors)}")
+    for v in vectors:
+        if v.values.ndim != 1 or v.size != vectors[0].size:
+            raise DimensionError("weighted_sum vectors must be 1-D of equal length")
+    wv = weights.values
+    stacked = np.stack([v.values for v in vectors])
 
     def backward(g):
-        ga = np.zeros(n)
-        ga[index] = g[0]
-        return (ga,)
+        return ((stacked * g).sum(axis=1),) + tuple(g * wv[i] for i in range(len(vectors)))
 
-    return _result(a.values[index:index + 1].copy(), (a,), backward)
+    return _result((wv[:, None] * stacked).sum(axis=0), [weights] + vectors, backward)
 
 
 # ---------------------------------------------------------------------------

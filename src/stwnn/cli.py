@@ -141,7 +141,6 @@ def _cmd_synth(args, settings: dict) -> int:
         raise ValidationError("val per-class stream count must be >= 0")
 
     out_dir = Path(s["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_tx, n_rx, n_sub = s["tx"], s["rx"], s["subcarriers"]
     entries = []
     for split_index, split in enumerate(("train", "val", "test")):
@@ -153,6 +152,8 @@ def _cmd_synth(args, settings: dict) -> int:
                     class_id, n_ant=n_tx * n_rx, duration_s=s["duration"],
                     noise_std=s["noise_std"], seed=seed)
                 stream = csi.synth_stream(spec, n_tx, n_rx, n_sub, s["rate"])
+                # made only once a stream exists, so a bad spec leaves no directory
+                out_dir.mkdir(parents=True, exist_ok=True)
                 name = _stream_name(split, class_id, k)
                 dataio.save_stream(out_dir / name, stream)
                 entries.append(dataio.ManifestEntry(path=name, label=class_id, split=split))

@@ -150,7 +150,11 @@ def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,
     if n_tx < 1 or n_rx < 1 or n_sub < 1:
         raise ValidationError(f"antenna/subcarrier counts must be >= 1, got {n_tx}/{n_rx}/{n_sub}")
     _check_rate(sample_rate_hz)
-    n_frames = int(math.floor(spec.duration_s * sample_rate_hz))
+    span = spec.duration_s * sample_rate_hz
+    if not math.isfinite(span):
+        raise ValidationError(
+            f"duration {spec.duration_s}s at {sample_rate_hz}Hz overflows the frame count")
+    n_frames = int(math.floor(span))
     if n_frames < 1:
         raise ValidationError(
             f"duration {spec.duration_s}s at {sample_rate_hz}Hz yields a zero-length stream")

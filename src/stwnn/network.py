@@ -235,18 +235,10 @@ def attention_forward(features, params: AttentionParams, score_fn: str = "tanh")
     Returns (mask tensor of length feature_dim, weight vector of length n).
     """
     features = list(features)
-    if not features:
-        raise UsageError("attention needs at least one feature vector")
-    dim = features[0].size
-    for f in features:
-        if f.values.ndim != 1 or f.size != dim:
-            raise DimensionError("all feature vectors must be 1-D of equal length")
-    w_row = ad.reshape(params.weight, (1, dim))
+    w_row = ad.reshape(params.weight, (1, params.weight.size))
     scores = [_apply_score_fn(ad.linear(f, w_row, params.bias), score_fn) for f in features]
     weights = ad.softmax(ad.concat(scores))
-    mask = ad.scale(features[0], ad.take(weights, 0))
-    for i in range(1, len(features)):
-        mask = ad.add(mask, ad.scale(features[i], ad.take(weights, i)))
+    mask = ad.weighted_sum(weights, features)
     return mask, weights.values.copy()
 
 

@@ -67,17 +67,25 @@ def one_hot(label: int, n_classes: int) -> np.ndarray:
     return g
 
 
-def _check_ground_truth(g: np.ndarray) -> None:
-    ok = np.all((g == 0.0) | (g == 1.0)) and np.all(np.sum(g, axis=-1) == 1.0)
-    if not ok:
-        raise ValidationError("ground truth rows must be one-hot")
+def _mixed_ce(g: Tensor, probs_o: Tensor, probs_m: Tensor, mix: float) -> Tensor:
+    """mix * CE(g, probs_m) + (1 - mix) * CE(g, probs_o) for one one-hot row,
+    with log arguments clamped at 1e-12."""
+    ce_o = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_o))), -1.0)
+    ce_m = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_m))), -1.0)
+    return ad.add(ad.mul_const(ce_m, mix), ad.mul_const(ce_o, 1.0 - mix))
+
+
+def _masked_probs(logits: Tensor, mask: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:
+    """softmax(logits * (gate_w @ mask + gate_b))."""
+    return ad.softmax(ad.mul_elementwise(logits, ad.linear(mask, gate_w, gate_b)))
 
 
 def combined_loss(g, probs_o, probs_masked, mix: float) -> float:
     """Convex mix of two cross-entropies, averaged over the batch.
 
     ``g`` holds one-hot rows; both probability arrays must row-sum to one
-    within 1e-6. Log arguments are clamped at 1e-12.
+    within 1e-6. Log arguments are clamped at 1e-12. Each row is evaluated
+    with the graph ``sample_loss_graph`` builds.
     """
     if not 0.0 <= mix <= 1.0:
         raise ConfigError(f"mix must be in [0, 1], got {mix}")
@@ -87,17 +95,19 @@ def combined_loss(g, probs_o, probs_masked, mix: float) -> float:
     if not (g.shape == probs_o.shape == probs_masked.shape):
         raise ValidationError(
             f"shape mismatch: g {g.shape}, plain {probs_o.shape}, masked {probs_masked.shape}")
-    _check_ground_truth(g)
+    if not (np.all((g == 0.0) | (g == 1.0)) and np.all(np.sum(g, axis=-1) == 1.0)):
+        raise ValidationError("ground truth rows must be one-hot")
     for name, p in (("plain", probs_o), ("masked", probs_masked)):
         if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-6):
             raise ValidationError(f"{name} probabilities do not sum to 1 within 1e-6")
-    ce_masked = -np.sum(g * np.log(np.maximum(probs_masked, 1e-12)), axis=-1)
-    ce_plain = -np.sum(g * np.log(np.maximum(probs_o, 1e-12)), axis=-1)
-    return float(np.mean(mix * ce_masked + (1.0 - mix) * ce_plain))
+    losses = [_mixed_ce(Tensor(gi), Tensor(po), Tensor(pm), mix).values[0]
+              for gi, po, pm in zip(g, probs_o, probs_masked)]
+    return float(np.mean(losses))
 
 
 def masked_probs(logits, mask, gate_weight, gate_bias) -> np.ndarray:
-    """softmax(logits * (gate_weight @ mask + gate_bias))."""
+    """softmax(logits * (gate_weight @ mask + gate_bias)), evaluated with the
+    graph ``sample_loss_graph`` builds."""
     logits = np.asarray(logits, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     gate_weight = np.asarray(gate_weight, dtype=np.float64)
@@ -106,10 +116,8 @@ def masked_probs(logits, mask, gate_weight, gate_bias) -> np.ndarray:
         raise ValidationError(
             f"gate shapes {gate_weight.shape}/{gate_bias.shape} do not map "
             f"mask {mask.shape} to logits {logits.shape}")
-    z = logits * (gate_weight @ mask + gate_bias)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return _masked_probs(Tensor(logits), Tensor(mask), Tensor(gate_weight),
+                         Tensor(gate_bias)).values
 
 
 def sgd_momentum_step(param, grad, velocity, lr: float, mu: float):
@@ -127,10 +135,6 @@ class SgdMomentum:
         self.momentum = momentum
         self.velocities = [np.zeros_like(p.values) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
     def step(self):
         for i, p in enumerate(self.params):
             if p.grad is None:
@@ -142,13 +146,9 @@ class SgdMomentum:
 def sample_loss_graph(model: net.Model, x: np.ndarray, label: int, mix: float) -> Tensor:
     """Differentiable combined loss for one (C, time, sub, ant) sample."""
     logits, mask = net.forward_graph(model, Tensor(x))
-    probs_o = ad.softmax(logits)
-    factor = ad.linear(mask, model.gate.weight, model.gate.bias)
-    probs_m = ad.softmax(ad.mul_elementwise(logits, factor))
+    probs_m = _masked_probs(logits, mask, model.gate.weight, model.gate.bias)
     g = Tensor(one_hot(label, model.config.n_classes))
-    ce_o = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_o))), -1.0)
-    ce_m = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_m))), -1.0)
-    return ad.add(ad.mul_const(ce_m, mix), ad.mul_const(ce_o, 1.0 - mix))
+    return _mixed_ce(g, ad.softmax(logits), probs_m, mix)
 
 
 def _check_dataset(dataset, n_classes: int, what: str):
@@ -157,10 +157,6 @@ def _check_dataset(dataset, n_classes: int, what: str):
     for _, label in dataset:
         if not 0 <= int(label) < n_classes:
             raise ValidationError(f"label {label} out of range for {n_classes} classes")
-
-
-def _prepare(sample, model: net.Model) -> np.ndarray:
-    return net._sample_to_array(sample, model.config.in_channels)
 
 
 def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
@@ -175,7 +171,7 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     _check_dataset(train_set, n_classes, "train")
     _check_dataset(val_set, n_classes, "validation")
 
-    xs = [_prepare(sample, model) for sample, _ in train_set]
+    xs = [net._sample_to_array(sample, model.config.in_channels) for sample, _ in train_set]
     labels = [int(label) for _, label in train_set]
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
@@ -189,7 +185,8 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
         total_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            opt.zero_grad()
+            for p in opt.params:
+                p.grad = None
             inv = 1.0 / len(batch)
             for idx in batch:
                 loss = ad.mul_const(
@@ -265,13 +262,6 @@ def shift_consistency(model: net.Model, stream, cfg: SegmentationConfig,
             f"stream has {n_packets} packets, need {cfg.window + 2 * max_shift} "
             f"for shifts up to {max_shift}")
 
-    base = max_shift
-    preds = {}
-    for delta in range(-max_shift, max_shift + 1):
-        start = base + delta
-        segment = signal[:, start:start + cfg.window]
-        sample = stack_channels(segment_volumes(segment, cfg))
-        _, probs, _ = net.forward(model, sample)
-        preds[delta] = int(np.argmax(probs))
-    agree = sum(1 for d, p in preds.items() if p == preds[0])
-    return agree / len(preds)
+    windows = (signal[:, start:start + cfg.window] for start in range(2 * max_shift + 1))
+    preds = predict(model, (stack_channels(segment_volumes(w, cfg)) for w in windows))
+    return float(np.mean(preds == preds[max_shift]))

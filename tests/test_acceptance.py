@@ -43,7 +43,7 @@ def _op_cases(rng):
     xconv = Tensor(rng.standard_normal((2, 4, 4, 4)))
     probe_conv = Tensor(rng.standard_normal((2, 2, 2, 2)))
     other = Tensor(rng.standard_normal(5))
-    scalar = Tensor(np.array([1.3]))
+    mix_w = Tensor(np.array([1.3, -0.6]))
 
     def dot(t, probe):
         return ad.scalar_sum(ad.mul_elementwise(t, probe))
@@ -55,16 +55,15 @@ def _op_cases(rng):
          lambda: rng.standard_normal(5)),
         ("mul_const", lambda x: dot(ad.mul_const(x, -1.7), probe5),
          lambda: rng.standard_normal(5)),
-        ("scale_vector", lambda x: dot(ad.scale(x, scalar), probe5),
+        ("weighted_sum_weights", lambda a: dot(ad.weighted_sum(a, [other, xv]), probe5),
+         lambda: rng.standard_normal(2)),
+        ("weighted_sum_vector", lambda x: dot(ad.weighted_sum(mix_w, [other, x]), probe5),
          lambda: rng.standard_normal(5)),
-        ("scale_factor", lambda s: dot(ad.scale(other, s), probe5),
-         lambda: rng.standard_normal(1)),
-        ("take", lambda x: ad.take(x, 2), lambda: rng.standard_normal(5)),
         ("concat", lambda x: dot(ad.concat([x, other]),
                                  Tensor(np.arange(10.0) - 4.5)),
          lambda: rng.standard_normal(5)),
-        ("reshape", lambda x: dot(ad.flatten(ad.reshape(x, (5, 2))),
-                                  Tensor(np.arange(10.0))),
+        ("reshape", lambda x: dot(ad.reshape(x, (5, 2)),
+                                  Tensor(np.arange(10.0).reshape(5, 2))),
          lambda: rng.standard_normal(10)),
         ("relu", lambda x: dot(ad.relu(x), probe5),
          lambda: _away_from(rng.standard_normal(5), 0.2)),

@@ -164,17 +164,23 @@ class TestArithmetic:
         with pytest.raises(DimensionError):
             ad.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
-    def test_concat_take_scale(self):
+    def test_concat_weighted_sum(self):
         a = Tensor(np.array([1.0, 2.0]))
         b = Tensor(np.array([3.0]))
         c = ad.concat([a, b])
         np.testing.assert_array_equal(c.values, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ad.take(c, 2).values, [3.0])
-        np.testing.assert_array_equal(ad.scale(a, b).values, [3.0, 6.0])
+        out = ad.weighted_sum(Tensor(np.array([2.0, -1.0])), [a, Tensor(np.array([0.5, 4.0]))])
+        np.testing.assert_array_equal(out.values, [1.5, 0.0])
 
-    def test_flatten_and_reshape(self):
+    def test_weighted_sum_shape_errors(self):
+        a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
+        with pytest.raises(DimensionError):
+            ad.weighted_sum(Tensor(np.ones(3)), [a, b])
+        with pytest.raises(DimensionError):
+            ad.weighted_sum(Tensor(np.ones(2)), [a, Tensor(np.zeros(3))])
+
+    def test_reshape(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert ad.flatten(x).shape == (6,)
         assert ad.reshape(x, (3, 2)).shape == (3, 2)
         with pytest.raises(DimensionError):
             ad.reshape(x, (4, 2))
@@ -266,14 +272,14 @@ class TestGradCheck:
         ("gap", lambda r, p: lambda x: p(ad.global_avg_pool(x)), (2, 3, 2, 2), False),
         ("subsample", lambda r, p: lambda x: ad.scalar_sum(ad.temporal_subsample(x, 2)),
          (2, 5, 2, 2), False),
-        ("scale", lambda r, p: lambda x: ad.scalar_sum(
-            ad.scale(x, Tensor(np.array([1.7])))), (5,), False),
-        ("take_concat", lambda r, p: lambda x: ad.take(ad.concat([x, x]), 3), (4,), False),
+        ("weighted_sum", lambda r, p: lambda x: ad.scalar_sum(ad.weighted_sum(
+            Tensor(np.array([1.7, -0.4])), [x, ad.tanh_act(x)])), (5,), False),
+        ("concat", lambda r, p: lambda x: p(ad.concat([x, x])), (4,), False),
         ("mul_const", lambda r, p: lambda x: ad.scalar_sum(ad.mul_const(x, -2.5)), (5,), False),
     ])
     def test_op_gradients(self, name, builder, point_shape, away_from_zero):
         rng = np.random.default_rng(hash(name) % 2**32)
-        probe_size = {"softmax": 5, "gap": 2}.get(name, 1)
+        probe_size = {"softmax": 5, "gap": 2, "concat": 8}.get(name, 1)
         f = builder(rng, self._probe(rng, probe_size))
         for trial in range(3):
             sample = rng.standard_normal(point_shape)

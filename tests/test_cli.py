@@ -38,6 +38,16 @@ class TestSynth:
     def test_non_finite_duration_is_usage_error(self, tmp_path, duration):
         assert synth_small(tmp_path / "x", duration=duration) == 2
 
+    def test_overflowing_frame_count_is_usage_error(self, tmp_path):
+        # 1e307 s at 100 Hz is a finite duration whose frame count overflows
+        assert synth_small(tmp_path / "x", duration="1e307") == 2
+
+    @pytest.mark.parametrize("flags", [("--duration", "nan"), ("--rate", "0")])
+    def test_rejected_spec_leaves_no_directory(self, tmp_path, flags):
+        out = tmp_path / "x"
+        assert run("synth", "--out", str(out), *flags) == 2
+        assert not out.exists()
+
     def test_default_shape_constants(self, tmp_path):
         out = tmp_path / "d"
         assert synth_small(out) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stwnn import csi, network as net, training as tr, volumes as vol
+from stwnn.autodiff import Tensor
 from stwnn.errors import ConfigError, UsageError, ValidationError
 
 TINY = dict(n_classes=2, in_channels=2, block_channels=(2,), feature_dim=3, seed=5)
@@ -112,6 +113,28 @@ class TestMaskedProbs:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             tr.masked_probs(np.zeros(3), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+
+
+class TestLossGraphLink:
+    """The numpy loss evaluations are the graph the trainer differentiates,
+    bit for bit, and attention's mix is the left-to-right weighted sum."""
+
+    def test_numpy_loss_equals_trained_loss_exactly(self):
+        model = tiny_model(block_channels=(2, 3, 2))
+        sample = np.random.default_rng(35).standard_normal((2, 4, 8, 9))
+        x = np.ascontiguousarray(sample.transpose(0, 2, 1, 3))  # time-major, as train uses
+        logits, probs, mask = net.forward(model, sample)
+        q = tr.masked_probs(logits, mask, model.gate.weight.values, model.gate.bias.values)
+        for label in range(2):
+            for mix in (0.0, 0.3, 1.0):
+                assert (tr.combined_loss(tr.one_hot(label, 2), probs, q, mix)
+                        == tr.sample_loss_graph(model, x, label, mix).values[0])
+
+    def test_attention_mask_is_left_to_right_sum(self):
+        model = tiny_model(block_channels=(2, 3, 2))
+        f = np.random.default_rng(36).standard_normal((3, 3))
+        mask, a = net.attention_forward([Tensor(v) for v in f], model.attention)
+        assert np.array_equal(mask.values, a[0] * f[0] + a[1] * f[1] + a[2] * f[2])
 
 
 class TestSgdMomentum:
