@@ -8,9 +8,22 @@ order. Gradients accumulate across calls until ``grad`` is reset to None.
 Everything runs in double precision. There is no broadcasting except the
 bias term of ``linear``/``conv3d`` and the per-vector weights of
 ``weighted_sum``.
+
+``conv3d`` pads its input once into a flat buffer and adds one GEMM per
+kernel tap, each reading a copy-free shifted view of that buffer; no patch
+matrix is built. The graph keeps only the padded buffer. The kernel gradient
+is one GEMM per tap against the same views, and the input gradient is the
+same tap-GEMM correlation of the output gradient with flipped kernels
+(the transposed-convolution identity). Strides keep every s-th position of
+the stride-1 result. These GEMMs run on one BLAS thread (``_one_blas_thread``).
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import glob
+import os
 
 import numpy as np
 
@@ -227,31 +240,62 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _result(wv @ xv + bias.values, (x, weight, bias), backward)
 
 
-def _conv3d_out_dims(in_dims, k_dims, stride, padding):
-    out = []
-    for n, k, s, p in zip(in_dims, k_dims, stride, padding):
-        span = n + 2 * p - k
-        if span < 0:
-            raise DimensionError(
-                f"kernel dim {k} exceeds padded input dim {n + 2 * p}")
-        out.append(span // s + 1)
-    return tuple(out)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled in numpy's
+    wheels, or None where numpy links some other BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_"):
+            if hasattr(lib, name % "get"):
+                return getattr(lib, name % "get"), getattr(lib, name % "set")
+    return None
 
 
-def _im2col(padded, k_dims, stride, out_dims):
-    """Gather sliding-window patches into a [C*kd*kh*kw, od*oh*ow] matrix."""
-    c = padded.shape[0]
-    kd, kh, kw = k_dims
-    od, oh, ow = out_dims
-    s0, s1, s2, s3 = padded.strides
-    sd, sh, sw = stride
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(c, kd, kh, kw, od, oh, ow),
-        strides=(s0, s1, s2, s3, s1 * sd, s2 * sh, s3 * sw),
-        writeable=False,
-    )
-    return view.reshape(c * kd * kh * kw, od * oh * ow)
+_OPENBLAS_THREADS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore the thread count.
+
+    A conv's tap GEMMs are small (M = C_out, K = C_in): a second OpenBLAS
+    thread makes them under 10% faster on an idle 2-core host, but each call
+    waits for it, so when another process holds that core a conv runs up to
+    2.5x slower and its time follows the host's load."""
+    get, set_ = _OPENBLAS_THREADS or (lambda: 1, lambda n: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
+def _tap_gemm(weights, values, pad):
+    """Stride-1 correlation of [C, D, H, W] ``values``, zero-padded by ``pad``,
+    with [C_out, C, kd, kh, kw] ``weights``, as one GEMM per kernel tap.
+
+    The padded input is flattened once, with a zero tail, into ``flat``; tap
+    (i, j, l) reads the copy-free view ``flat[:, off:off + n]`` at
+    ``off = (i*Hp + j)*Wp + l``. The result fills a [C_out, Dp-kd+1, Hp, Wp]
+    grid whose last kh-1 rows and kw-1 columns of each plane are junk.
+    Returns the grid, ``flat`` and the tap offsets in kernel order."""
+    c, d, h, w = values.shape
+    c_out, _, kd, kh, kw = weights.shape
+    pd, ph, pw = pad
+    dp, hp, wp = d + 2 * pd, h + 2 * ph, w + 2 * pw
+    flat = np.zeros((c, dp * hp * wp + (kh - 1) * wp + kw - 1))
+    flat[:, :dp * hp * wp].reshape(c, dp, hp, wp)[:, pd:pd + d, ph:ph + h, pw:pw + w] = values
+    n = (dp - kd + 1) * hp * wp
+    offsets = [(i * hp + j) * wp + l for i in range(kd) for j in range(kh) for l in range(kw)]
+    taps = weights.reshape(c_out, c, len(offsets))
+    grid = taps[:, :, 0] @ flat[:, :n]
+    part = np.empty_like(grid)
+    for t in range(1, len(offsets)):
+        grid += np.matmul(taps[:, :, t], flat[:, offsets[t]:offsets[t] + n], out=part)
+    return grid.reshape(c_out, dp - kd + 1, hp, wp), flat, offsets
 
 
 def conv3d(x: Tensor, kernels: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
@@ -273,42 +317,41 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor, stride=1, padding=0) -> Ten
         raise DimensionError(f"kernel expects {kc} input channels, input has {c_in}")
     if bias.values.ndim != 1 or bias.size != c_out:
         raise DimensionError(f"bias must have shape ({c_out},), got {bias.shape}")
+    ks = (kd, kh, kw)
+    for size, k, p in zip((d, h, w), ks, padding):
+        if size + 2 * p < k:
+            raise DimensionError(f"kernel dim {k} exceeds padded input dim {size + 2 * p}")
 
-    out_dims = _conv3d_out_dims((d, h, w), (kd, kh, kw), stride, padding)
-    od, oh, ow = out_dims
-    pd, ph, pw = padding
-
-    def pad_input(values):
-        if pd == ph == pw == 0:
-            return values
-        return np.pad(values, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-
-    xv = x.values
-    kflat = kernels.values.reshape(c_out, c_in * kd * kh * kw)
-    cols = _im2col(pad_input(xv), (kd, kh, kw), stride, out_dims)
-    out = kflat @ cols
-    out += bias.values[:, None]
-    out = out.reshape(c_out, od, oh, ow)
+    kv = kernels.values
+    grid, flat, offsets = _tap_gemm(kv, x.values, padding)
+    grid_shape = grid.shape
+    n = grid.size // c_out
+    # stride-1 positions: the grid without its junk rows and columns
+    valid = np.s_[:, :, :grid_shape[2] - kh + 1, :grid_shape[3] - kw + 1]
+    strided = np.s_[:, ::stride[0], ::stride[1], ::stride[2]]
+    out = grid[valid][strided] + bias.values[:, None, None, None]
     need_x, need_k, need_b = x.requires_grad, kernels.requires_grad, bias.requires_grad
 
+    @_one_blas_thread()
     def backward(g):
-        gflat = g.reshape(c_out, od * oh * ow)
-        g_kernels = (gflat @ cols.T).reshape(kernels.shape) if need_k else None
-        g_bias = gflat.sum(axis=1) if need_b else None
+        g_grid = np.zeros(grid_shape)
+        g_grid[valid][strided] = g
+        g_flat = g_grid.reshape(c_out, n)
+        g_kernels = None
+        if need_k:
+            g_kernels = np.empty((c_out, c_in, len(offsets)))
+            for t, off in enumerate(offsets):
+                g_kernels[:, :, t] = g_flat @ flat[:, off:off + n].T
+            g_kernels = g_kernels.reshape(kernels.shape)
+        g_bias = g.reshape(c_out, -1).sum(axis=1) if need_b else None
         g_x = None
         if need_x:
-            g_cols = (kflat.T @ gflat).reshape(c_in, kd, kh, kw, od, oh, ow)
-            g_padded = np.zeros((c_in, d + 2 * pd, h + 2 * ph, w + 2 * pw))
-            sd, sh, sw = stride
-            for i in range(kd):
-                for j in range(kh):
-                    for l in range(kw):
-                        g_padded[:,
-                                 i:i + sd * (od - 1) + 1:sd,
-                                 j:j + sh * (oh - 1) + 1:sh,
-                                 l:l + sw * (ow - 1) + 1:sw] += g_cols[:, i, j, l]
-            g_x = g_padded[:, pd:pd + d, ph:ph + h, pw:pw + w] if (pd or ph or pw) \
-                else g_padded
+            flipped = kv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            g_pad = tuple(max(k - 1 - p, 0) for k, p in zip(ks, padding))
+            g_x, _, _ = _tap_gemm(flipped, g_grid[valid], g_pad)
+            # padding >= kernel: crop the p-k+1 extra positions on each side
+            crop = [max(p - k + 1, 0) for k, p in zip(ks, padding)]
+            g_x = g_x[:, crop[0]:crop[0] + d, crop[1]:crop[1] + h, crop[2]:crop[2] + w]
         return g_x, g_kernels, g_bias
 
     return _result(out, (x, kernels, bias), backward)

@@ -1,6 +1,8 @@
 """Tensor engine: forward semantics against loop oracles, gradients against
 central finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,35 @@ class TestConv3d:
         k = Tensor(np.zeros((1, 1, 3, 3, 3)))
         with pytest.raises(DimensionError):
             ad.conv3d(x, k, Tensor(np.zeros(1)), stride=1, padding=0)
+
+    def test_gemms_run_on_one_blas_thread(self, monkeypatch):
+        """Forward and backward each set one BLAS thread and hand the caller's
+        count back, also when the block raises."""
+        count, calls = [4], []
+
+        def set_threads(n):
+            calls.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(ad, "_OPENBLAS_THREADS", (lambda: count[0], set_threads))
+        x = Tensor(np.ones((2, 3, 3, 3)))
+        k = Tensor(np.ones((2, 2, 3, 3, 3)), requires_grad=True)
+        out = ad.conv3d(x, k, Tensor(np.zeros(2)), padding=1)
+        assert calls == [1, 4]
+        ad.backward(ad.scalar_sum(out))     # the kernel gradient only
+        assert calls == [1, 4, 1, 4]
+        with pytest.raises(RuntimeError), ad._one_blas_thread():
+            raise RuntimeError
+        assert count == [4]
+
+    def test_bundled_openblas_thread_count(self):
+        if ad._OPENBLAS_THREADS is None:
+            pytest.skip("numpy links no OpenBLAS bundled in its wheel")
+        get, _ = ad._OPENBLAS_THREADS
+        before = get()
+        with ad._one_blas_thread():
+            assert get() == 1
+        assert get() == before
 
 
 class TestLinear:
@@ -278,7 +309,7 @@ class TestGradCheck:
         ("mul_const", lambda r, p: lambda x: ad.scalar_sum(ad.mul_const(x, -2.5)), (5,), False),
     ])
     def test_op_gradients(self, name, builder, point_shape, away_from_zero):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         probe_size = {"softmax": 5, "gap": 2, "concat": 8}.get(name, 1)
         f = builder(rng, self._probe(rng, probe_size))
         for trial in range(3):
@@ -303,6 +334,35 @@ class TestGradCheck:
         assert ad.grad_check(lambda x: out_sum(x, Tensor(kv), Tensor(bv)), Tensor(xv)) < 1e-4
         assert ad.grad_check(lambda k: out_sum(Tensor(xv), k, Tensor(bv)), Tensor(kv)) < 1e-4
         assert ad.grad_check(lambda b: out_sum(Tensor(xv), Tensor(kv), b), Tensor(bv)) < 1e-4
+
+    @pytest.mark.parametrize("dims,kdims,stride,pad", [
+        ((4, 5, 3), (3, 3, 3), 1, 1),    # the network's 3x3x3 convs
+        ((4, 5, 3), (1, 1, 1), 1, 0),    # the network's projection
+        ((3, 2, 4), (1, 1, 1), 1, 1),    # padding >= kernel: the input gradient is cropped
+        ((3, 4, 2), (2, 3, 1), 1, 2),    # cropped on two axes, padded on one
+        ((5, 6, 7), (2, 3, 2), 2, 1),    # (n + 2p - k) % s != 0 on every axis
+        ((7, 5, 8), (2, 3, 3), 3, 0),
+        ((4, 4, 4), (3, 3, 3), (2, 3, 1), (0, 1, 2)),
+    ])
+    def test_conv3d_cases_all_arguments(self, dims, kdims, stride, pad):
+        rng = np.random.default_rng(zlib.crc32(repr((dims, kdims, stride, pad)).encode()))
+        xv = rng.standard_normal((2,) + dims)
+        kv = rng.standard_normal((3, 2) + kdims)
+        bv = rng.standard_normal(3)
+        triple = lambda v: (v,) * 3 if isinstance(v, int) else v
+        ref = naive_conv3d(xv, kv, bv, triple(stride), triple(pad))
+        out = ad.conv3d(Tensor(xv), Tensor(kv), Tensor(bv), stride=stride, padding=pad)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.values, ref, atol=1e-10)
+        probe = Tensor(rng.standard_normal(ref.shape))
+
+        def out_sum(x, k, b):
+            return ad.scalar_sum(ad.mul_elementwise(
+                ad.conv3d(x, k, b, stride=stride, padding=pad), probe))
+
+        assert ad.grad_check(lambda x: out_sum(x, Tensor(kv), Tensor(bv)), Tensor(xv)) < 1e-6
+        assert ad.grad_check(lambda k: out_sum(Tensor(xv), k, Tensor(bv)), Tensor(kv)) < 1e-6
+        assert ad.grad_check(lambda b: out_sum(Tensor(xv), Tensor(kv), b), Tensor(bv)) < 1e-6
 
     def test_linear_gradients_all_arguments(self):
         rng = np.random.default_rng(10)

@@ -1,9 +1,11 @@
 """Loss, optimizer, training loop, metrics, and the shift probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stwnn import csi, network as net, training as tr, volumes as vol
+from stwnn import autodiff as ad, csi, network as net, training as tr, volumes as vol
 from stwnn.autodiff import Tensor
 from stwnn.errors import ConfigError, UsageError, ValidationError
 
@@ -135,6 +137,23 @@ class TestLossGraphLink:
         f = np.random.default_rng(36).standard_normal((3, 3))
         mask, a = net.attention_forward([Tensor(v) for v in f], model.attention)
         assert np.array_equal(mask.values, a[0] * f[0] + a[1] * f[1] + a[2] * f[2])
+
+
+def test_paper_shape_sample_memory_peak():
+    """One paper-shape sample's loss graph and backward allocate at most 50 MB
+    at once (the tap-GEMM convolution keeps only its padded input per conv;
+    an im2col one kept 27x column matrices, about 100 MB)."""
+    model = net.build_model(net.NetworkConfig(n_classes=6, in_channels=3,
+                                              block_channels=(8, 16, 32), seed=1))
+    x = np.random.default_rng(2).standard_normal((3, 32, 30, 9))
+    ad.backward(tr.sample_loss_graph(model, x, 2, 0.5))
+    tracemalloc.start()
+    try:
+        ad.backward(tr.sample_loss_graph(model, x, 2, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSgdMomentum:
