@@ -13,8 +13,8 @@ from .network import (AttentionParams, GateHead, Model, NetworkConfig,
 from .training import (EpochStats, Metrics, TrainConfig, combined_loss,
                        confusion_metrics, evaluate, masked_probs, one_hot,
                        predict, sgd_momentum_step, shift_consistency, train)
-from .volumes import (SegmentationConfig, Volume3D, build_volume, group_by_segment,
-                      multiscale_sample, normalize, segment_stream, segment_volumes,
-                      stack_channels, stream_volumes, upsample)
+from .volumes import (SegmentationConfig, Volume3D, group_by_segment, normalize,
+                      segment_stream, segment_volumes, stack_channels, stream_volumes,
+                      upsample)
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ VOL1  volume set
 WGT1  weight archive
     magic "WGT1", format_version u32 (currently 1)
     config echo: n_classes u32, in_channels u32, block count u32 then
-    channel u32 each, kernel u32 x3, n_feature_vectors u32, feature_dim u32,
-    score_fn u8, variant u8, seed i64
+    channel u32 each, kernel u32 x3, feature vector count u32 (always the
+    block count, checked on read), feature_dim u32, score_fn u8, variant u8,
+    seed i64; an echo the network config rejects is a corrupt archive
     tensor count u32, then per tensor: name length u16 + utf-8 name,
     ndim u8, dims u32 each, f64 values row-major
 
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .csi import CsiStream
-from .errors import (CompatibilityError, CorruptionError, FormatError,
+from .errors import (CompatibilityError, ConfigError, CorruptionError, FormatError,
                      ValidationError)
 from .network import SCORE_FNS, VARIANTS, Model, NetworkConfig
 from .volumes import Volume3D
@@ -131,9 +132,12 @@ def load_volumes(path) -> list:
                 raise CorruptionError(f"volume {i} header has invalid dims/scale")
             body = _read_exact(f, d_sub * d_time * d_ant * 8, f"volume {i} data")
             data = np.frombuffer(body, dtype="<f8").reshape(d_sub, d_time, d_ant)
-            out.append(Volume3D(data=data.copy(), scale=scale,
-                                source_segment=source_segment,
-                                label=None if label < 0 else label))
+            try:
+                out.append(Volume3D(data=data.copy(), scale=scale,
+                                    source_segment=source_segment,
+                                    label=None if label < 0 else label))
+            except ValidationError as exc:  # non-finite entries
+                raise CorruptionError(f"volume {i} content: {exc}") from exc
         _expect_eof(f)
     return out
 
@@ -150,7 +154,7 @@ def _pack_config(cfg: NetworkConfig) -> bytes:
     parts = [struct.pack("<III", cfg.n_classes, cfg.in_channels, len(cfg.block_channels))]
     parts.append(struct.pack(f"<{len(cfg.block_channels)}I", *cfg.block_channels))
     parts.append(struct.pack("<III", *cfg.kernel))
-    parts.append(struct.pack("<II", cfg.n_feature_vectors, cfg.feature_dim))
+    parts.append(struct.pack("<II", len(cfg.block_channels), cfg.feature_dim))
     parts.append(struct.pack("<BBq", _SCORE_CODE[cfg.score_fn],
                              _VARIANT_CODE[cfg.variant], cfg.seed))
     return b"".join(parts)
@@ -166,11 +170,15 @@ def _unpack_config(f) -> NetworkConfig:
     score_code, variant_code, seed = _read_struct(f, "<BBq", "config tail")
     if score_code >= len(SCORE_FNS) or variant_code >= len(VARIANTS):
         raise CorruptionError("unknown score_fn or variant code")
-    return NetworkConfig(n_classes=n_classes, in_channels=in_channels,
-                         block_channels=channels, kernel=kernel,
-                         n_feature_vectors=n_vec, feature_dim=feature_dim,
-                         score_fn=SCORE_FNS[score_code],
-                         variant=VARIANTS[variant_code], seed=seed)
+    if n_vec != n_blocks:
+        raise CorruptionError(f"feature vector count {n_vec} differs from block count {n_blocks}")
+    try:
+        return NetworkConfig(n_classes=n_classes, in_channels=in_channels,
+                             block_channels=channels, kernel=kernel, feature_dim=feature_dim,
+                             score_fn=SCORE_FNS[score_code],
+                             variant=VARIANTS[variant_code], seed=seed)
+    except ConfigError as exc:
+        raise CorruptionError(f"config echo: {exc}") from exc
 
 
 def save_weights(path, model: Model) -> None:

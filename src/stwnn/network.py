@@ -38,7 +38,6 @@ class NetworkConfig:
     in_channels: int = 3
     block_channels: tuple = (8, 16, 32)
     kernel: tuple = (3, 3, 3)
-    n_feature_vectors: Optional[int] = None
     feature_dim: int = 32
     score_fn: str = "tanh"
     variant: str = "stwnn"
@@ -55,10 +54,9 @@ class NetworkConfig:
         kernel = tuple(int(k) for k in self.kernel)
         if len(kernel) != 3 or min(kernel) < 1:
             raise ConfigError(f"kernel must be three positive ints, got {kernel}")
-        n_vec = len(blocks) if self.n_feature_vectors is None else int(self.n_feature_vectors)
-        if n_vec != len(blocks):
-            raise ConfigError(
-                f"n_feature_vectors must equal the block count ({len(blocks)}), got {n_vec}")
+        if any(k % 2 == 0 for k in kernel):
+            # blocks pad by k // 2, which keeps the shape for odd k only
+            raise ConfigError(f"kernel sizes must be odd, got {kernel}")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.score_fn not in SCORE_FNS:
@@ -67,7 +65,6 @@ class NetworkConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "block_channels", blocks)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "n_feature_vectors", n_vec)
 
 
 @dataclass

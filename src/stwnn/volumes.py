@@ -1,15 +1,14 @@
 """Turn 4-D CSI amplitude signals into fixed-size 3-D training volumes.
 
-Pipeline per recording: slide an overlapping window along the packet axis,
-flatten the antenna pair axes of each window, subsample the window at each
-configured temporal scale, resize every volume to the network input shape,
-and standardize it. Each scale of each window becomes one tagged volume;
-volumes of one window are stacked as input channels downstream.
+Per recording: slide an overlapping window along the packet axis; per window
+and temporal scale s, keep time indices 0, s, 2s, ..., flatten the antenna
+axes tx-major (pair tx * n_rx + rx), resize to the network input shape and
+standardize, all on plain arrays; then tag each result once as a ``Volume3D``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,46 +80,13 @@ def segment_stream(signal: np.ndarray, cfg: SegmentationConfig) -> list:
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 4:
         raise DimensionError(f"signal must be 4-D, got shape {signal.shape}")
-    n_packets = signal.shape[1]
-    w = cfg.window
-    if cfg.overlap >= w:
-        raise ConfigError(f"overlap {cfg.overlap} must be < window {w}")
+    n_packets, w = signal.shape[1], cfg.window
     if n_packets < w:
         raise InsufficientDataError(
             f"stream has {n_packets} packets, need at least {w} for one window")
     stride = w - cfg.overlap
     count = (n_packets - w) // stride + 1
     return [signal[:, k * stride:k * stride + w].copy() for k in range(count)]
-
-
-def build_volume(segment: np.ndarray, *, source_segment: int = 0,
-                 label: Optional[int] = None, scale: int = 1) -> Volume3D:
-    """Flatten the antenna axes of a (n_sub, W, n_tx, n_rx) segment, tx-major."""
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.ndim != 4:
-        raise DimensionError(f"segment must be 4-D, got shape {segment.shape}")
-    n_sub, w, n_tx, n_rx = segment.shape
-    data = segment.reshape(n_sub, w, n_tx * n_rx)
-    return Volume3D(data=data, scale=scale, source_segment=source_segment, label=label)
-
-
-def multiscale_sample(segment: np.ndarray, scales, *, source_segment: int = 0,
-                      label: Optional[int] = None) -> list:
-    """One volume per temporal scale: keep time indices 0, s, 2s, ... then flatten."""
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.ndim != 4:
-        raise DimensionError(f"segment must be 4-D, got shape {segment.shape}")
-    w = segment.shape[1]
-    out = []
-    for s in scales:
-        s = int(s)
-        if s < 1:
-            raise ConfigError(f"scale must be >= 1, got {s}")
-        if s > w:
-            raise ConfigError(f"scale {s} exceeds segment length {w}")
-        out.append(build_volume(segment[:, ::s], source_segment=source_segment,
-                                label=label, scale=s))
-    return out
 
 
 def _axis_positions(n_src: int, n_dst: int) -> np.ndarray:
@@ -145,31 +111,39 @@ def _interp_axis(data: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def upsample(volume: Volume3D, target) -> Volume3D:
-    """Trilinear corner-aligned resize to (d_sub, d_time, d_ant)."""
+def upsample(data: np.ndarray, target) -> np.ndarray:
+    """Trilinear corner-aligned resize to (d_sub, d_time, d_ant). C-contiguous, so normalize
+    sums it in one order; ``data`` itself when it already has that shape and order."""
     target = tuple(int(d) for d in target)
     if len(target) != 3 or min(target) < 1:
         raise ConfigError(f"target must be three positive ints, got {target}")
-    if volume.data.shape == target:
-        return replace(volume, data=volume.data.copy())
-    data = volume.data
+    if data.ndim != 3:
+        raise DimensionError(f"volume data must be 3-D, got shape {data.shape}")
     for axis in range(3):
         data = _interp_axis(data, axis, target[axis])
-    return replace(volume, data=np.ascontiguousarray(data))
+    return np.ascontiguousarray(data)
 
 
-def normalize(volume: Volume3D) -> Volume3D:
+def normalize(data: np.ndarray) -> np.ndarray:
     """Per-volume standardization: zero mean, unit-ish std (epsilon-guarded)."""
-    data = volume.data
-    std = float(data.std())
-    return replace(volume, data=(data - data.mean()) / (std + 1e-8))
+    return (data - data.mean()) / (float(data.std()) + 1e-8)
 
 
 def segment_volumes(segment: np.ndarray, cfg: SegmentationConfig, *,
                     source_segment: int = 0, label: Optional[int] = None) -> list:
-    """All scales of one segment, resized to the target shape and standardized."""
-    vols = multiscale_sample(segment, cfg.scales, source_segment=source_segment, label=label)
-    return [normalize(upsample(v, cfg.target_shape)) for v in vols]
+    """One standardized volume per scale of a (n_sub, W, n_tx, n_rx) segment."""
+    segment = np.asarray(segment, dtype=np.float64)
+    if segment.ndim != 4:
+        raise DimensionError(f"segment must be 4-D, got shape {segment.shape}")
+    n_sub, w, n_tx, n_rx = segment.shape
+    if cfg.scales[-1] > w:
+        raise ConfigError(f"scale {cfg.scales[-1]} exceeds segment length {w}")
+    out = []
+    for s in cfg.scales:
+        data = upsample(segment[:, ::s].reshape(n_sub, -1, n_tx * n_rx), cfg.target_shape)
+        out.append(Volume3D(data=normalize(data), scale=s,
+                            source_segment=source_segment, label=label))
+    return out
 
 
 def stream_volumes(signal: np.ndarray, cfg: SegmentationConfig,

@@ -171,6 +171,29 @@ class TestTrainEvalShift:
         assert run("eval", "--manifest", str(vols3 / "manifest.tsv"),
                    "--weights", str(small_pipeline["weights"])) == 2
 
+    def test_non_finite_volume_is_runtime_failure(self, small_pipeline, tmp_path):
+        vols = tmp_path / "vols"
+        vols.mkdir()
+        src = small_pipeline["vols"]
+        for path in src.iterdir():
+            (vols / path.name).write_bytes(path.read_bytes())
+        victim = vols / dataio.load_manifest(vols / "manifest.tsv").entries[0].path
+        data = bytearray(victim.read_bytes())
+        data[32:40] = struct.pack("<d", float("nan"))  # first value of the first volume
+        victim.write_bytes(bytes(data))
+        assert run("train", "--manifest", str(vols / "manifest.tsv"),
+                   "--out", str(tmp_path / "m.wgt1"), "--epochs", "1") == 1
+
+    @pytest.mark.parametrize("offset, value", [(8, 0), (40, 5)])  # n_classes, vector count
+    def test_rejected_config_echo_is_runtime_failure(self, small_pipeline, tmp_path,
+                                                     offset, value):
+        weights = tmp_path / "m.wgt1"
+        data = bytearray(small_pipeline["weights"].read_bytes())
+        data[offset:offset + 4] = struct.pack("<I", value)
+        weights.write_bytes(bytes(data))
+        assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--weights", str(weights)) == 1
+
     def test_non_finite_lr_is_usage_error(self, small_pipeline, tmp_path):
         weights = tmp_path / "nan.wgt1"
         assert run("train", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),

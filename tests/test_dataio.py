@@ -149,6 +149,15 @@ class TestVolumeRoundTrip:
         with pytest.raises(CorruptionError, match="truncated"):
             dataio.load_volumes(path)
 
+    def test_non_finite_payload_is_corruption(self, tmp_path):
+        path = tmp_path / "v.vol1"
+        dataio.save_volumes(path, random_volumes(np.random.default_rng(47), 2))
+        data = bytearray(path.read_bytes())
+        data[32:40] = struct.pack("<d", float("inf"))  # first value of volume 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="volume 0"):
+            dataio.load_volumes(path)
+
     def test_count_overstates_content(self, tmp_path):
         path = tmp_path / "v.vol1"
         dataio.save_volumes(path, random_volumes(np.random.default_rng(45), 2))
@@ -200,6 +209,32 @@ class TestWeightsRoundTrip:
         path = tmp_path / "m.wgt1"
         dataio.save_weights(path, model)
         assert dataio.peek_weights_config(path) == model.config
+
+    # config echo offsets for two blocks: magic, version, n_classes @8, in_channels,
+    # block count, two channels, three kernel dims, feature vector count @40
+    def test_feature_vector_slot_is_the_block_count(self, tmp_path):
+        model = net.build_model(net.NetworkConfig(**self.CFG))
+        path = tmp_path / "m.wgt1"
+        dataio.save_weights(path, model)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack("<I", data[40:44]) == (2,)
+        data[40:44] = struct.pack("<I", 5)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="block count"):
+            dataio.peek_weights_config(path)
+        with pytest.raises(CorruptionError, match="block count"):
+            dataio.load_weights(path, model)
+
+    @pytest.mark.parametrize("offset, value", [(8, 0), (32, 2)])  # n_classes, a kernel dim
+    def test_rejected_config_echo_is_corruption(self, tmp_path, offset, value):
+        model = net.build_model(net.NetworkConfig(**self.CFG))
+        path = tmp_path / "m.wgt1"
+        dataio.save_weights(path, model)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="config echo"):
+            dataio.peek_weights_config(path)
 
     def test_huge_declared_tensor_is_corruption(self, tmp_path):
         model = net.build_model(net.NetworkConfig(**self.CFG))

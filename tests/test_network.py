@@ -56,9 +56,13 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             net.NetworkConfig(n_classes=2, variant="rnn")
         with pytest.raises(ConfigError):
-            net.NetworkConfig(n_classes=2, n_feature_vectors=5)
-        with pytest.raises(ConfigError):
             net.NetworkConfig(n_classes=2, block_channels=())
+
+    @pytest.mark.parametrize("kernel", [(2, 2, 2), (3, 4, 3), (1, 1, 2)])
+    def test_even_kernel_rejected(self, kernel):
+        # residual blocks pad by k // 2, which keeps the shape only for odd k
+        with pytest.raises(ConfigError, match="kernel"):
+            net.NetworkConfig(n_classes=2, kernel=kernel)
 
 
 class TestResidualBlock:
