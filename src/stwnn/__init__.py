@@ -6,10 +6,10 @@ from .autodiff import Tensor, backward, grad_check
 from .csi import (ActivitySpec, CsiStream, MotionComponent, amplitude,
                   channel_apply, doppler_activity_spec, synth_stream)
 from .dataio import (DatasetManifest, ManifestEntry, load_manifest, load_stream,
-                     load_volumes, load_weights, peek_weights_config, save_stream,
-                     save_volumes, save_weights, write_manifest)
-from .network import (AttentionParams, GateHead, Model, NetworkConfig,
-                      attention_forward, build_model, forward, residual_block_forward)
+                     load_volumes, load_weights, save_stream, save_volumes, save_weights,
+                     write_manifest)
+from .network import (AttentionParams, GateHead, Model, NetworkConfig, attention_forward,
+                      build_model, forward, parameter_count, residual_block_forward)
 from .training import (EpochStats, Metrics, TrainConfig, combined_loss,
                        confusion_metrics, evaluate, masked_probs, one_hot,
                        predict, sgd_momentum_step, shift_consistency, train)

@@ -90,18 +90,22 @@ def _group(settings: dict, group: str) -> dict:
 def _load_config_file(path) -> dict:
     known = {row[0] for row in SETTINGS}
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -204,20 +208,28 @@ def _cmd_segment(args, settings: dict) -> int:
 
 
 def _load_samples(manifest_path: Path, split: str):
-    """(sample array, label) pairs for one split of a volumes manifest."""
+    """(sample array, label) pairs for one split of a volumes manifest, its class
+    count and its scales. Every segment of a file holds the same distinct
+    scales, and every file of the split the same scales."""
     manifest = dataio.load_manifest(manifest_path)
     dataset = []
-    n_channels = None
+    split_scales = None
     for e in manifest.split(split):
-        vols = dataio.load_volumes(manifest_path.parent / e.path)
-        for group in volumes.group_by_segment(vols):
-            sample = volumes.stack_channels(group)
-            if n_channels is None:
-                n_channels = sample.shape[0]
-            elif sample.shape[0] != n_channels:
-                raise ValidationError(f"{e.path}: inconsistent channel counts across samples")
-            dataset.append((sample, e.label))
-    return dataset, manifest.n_classes, n_channels
+        path = manifest_path.parent / e.path
+        file_scales = None
+        for group in volumes.group_by_segment(dataio.load_volumes(path)):
+            scales = tuple(sorted(v.scale for v in group))
+            if len(set(scales)) != len(scales) or file_scales not in (None, scales):
+                raise CorruptionError(
+                    f"{path}: segment {group[0].source_segment} has scales {scales}, "
+                    f"expected distinct scales the same as the first segment's")
+            file_scales = scales
+            dataset.append((volumes.stack_channels(group), e.label))
+        if file_scales is not None and split_scales not in (None, file_scales):
+            raise ValidationError(
+                f"{e.path}: scales {file_scales} differ from {split_scales} of earlier files")
+        split_scales = split_scales or file_scales
+    return dataset, manifest.n_classes, split_scales
 
 
 def _cmd_train(args, settings: dict) -> int:
@@ -226,16 +238,18 @@ def _cmd_train(args, settings: dict) -> int:
                                mix=t["lambda"], lr=t["lr"], momentum=t["momentum"],
                                seed=t["seed"])
     manifest_path = Path(args.manifest)
-    train_set, n_classes, in_channels = _load_samples(manifest_path, "train")
+    train_set, n_classes, scales = _load_samples(manifest_path, "train")
     if not train_set:
         raise UsageError("train split has no samples")
-    val_set, _, _ = _load_samples(manifest_path, "val")
+    val_set, _, val_scales = _load_samples(manifest_path, "val")
+    if val_scales not in (None, scales):
+        raise ValidationError(f"val split has scales {val_scales}, train split {scales}")
     if not val_set:
         val_set = train_set
         log.info("no val split found; validating on the train split")
 
     model = network.build_model(network.NetworkConfig(
-        n_classes=n_classes, in_channels=in_channels, block_channels=n["blocks"],
+        n_classes=n_classes, in_channels=len(scales), block_channels=n["blocks"],
         kernel=n["kernel"], feature_dim=n["feature_dim"], score_fn=n["score_fn"],
         variant=n["variant"], seed=n["seed"]))
     model, history = training.train(model, train_set, val_set, cfg)
@@ -252,12 +266,6 @@ def _cmd_train(args, settings: dict) -> int:
             f.write(f"{stats.epoch}\t{stats.train_loss:.12g}\t{stats.val_accuracy:.12g}\n")
     print(f"wrote weights to {out_path} and history to {history_path}")
     return EXIT_OK
-
-
-def _load_model(weights_path: Path) -> network.Model:
-    cfg = dataio.peek_weights_config(weights_path)
-    model = network.build_model(cfg)
-    return dataio.load_weights(weights_path, model)
 
 
 def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Path):
@@ -283,7 +291,7 @@ def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Pat
 def _cmd_eval(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
     test_set, n_classes, _ = _load_samples(manifest_path, "test")
-    model = _load_model(Path(args.weights))
+    model = dataio.load_weights(args.weights)
     if model.config.n_classes != n_classes:
         raise CompatibilityError(
             f"weights expect {model.config.n_classes} classes, manifest has {n_classes}")
@@ -300,7 +308,7 @@ def _cmd_shift(args, settings: dict) -> int:
     cfg = _seg_config(_group(settings, "segment"))
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
-    model = _load_model(Path(args.weights))
+    model = dataio.load_weights(args.weights)
 
     rows = []
     for e in manifest.split("test"):

@@ -14,14 +14,18 @@ VOL1  volume set
     d_sub u32, d_time u32, d_ant u32, scale u32, source_segment u32,
     label i32 (-1 means unlabeled), then d_sub*d_time*d_ant f64 row-major
 
-WGT1  weight archive
-    magic "WGT1", format_version u32 (currently 1)
+WGT1  weight archive, the single source of a saved model
+    magic "WGT1", format_version u32 (exactly 1)
     config echo: n_classes u32, in_channels u32, block count u32 then
     channel u32 each, kernel u32 x3, feature vector count u32 (always the
     block count, checked on read), feature_dim u32, score_fn u8, variant u8,
-    seed i64; an echo the network config rejects is a corrupt archive
+    seed i64; an echo the network config rejects, or whose parameters need
+    more bytes than the file has left, is a corrupt archive
     tensor count u32, then per tensor: name length u16 + utf-8 name,
-    ndim u8, dims u32 each, f64 values row-major
+    ndim u8, dims u32 each, f64 values row-major; the names are unique and
+    are exactly the model's parameter names
+    ``load_weights`` reads it in one pass: it checks the header, builds the
+    model from the echo and fills each parameter by name.
 
 Manifests are UTF-8 text: "#" starts a comment, "@key<TAB>value..." lines
 carry dataset-level fields (n_classes, shape, sample_rate_hz), and entry
@@ -39,9 +43,9 @@ from typing import Optional
 import numpy as np
 
 from .csi import CsiStream
-from .errors import (CompatibilityError, ConfigError, CorruptionError, FormatError,
-                     ValidationError)
-from .network import SCORE_FNS, VARIANTS, Model, NetworkConfig
+from .errors import ConfigError, CorruptionError, FormatError, ValidationError
+from .network import (SCORE_FNS, VARIANTS, Model, NetworkConfig, build_model,
+                      parameter_count)
 from .volumes import Volume3D
 
 _SPLITS = ("train", "val", "test")
@@ -197,40 +201,38 @@ def save_weights(path, model: Model) -> None:
             f.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
 
 
-def peek_weights_config(path) -> NetworkConfig:
-    """Read just the config echo from a weight archive."""
+def load_weights(path) -> Model:
+    """Build the model an archive's config echo describes and fill its parameters."""
     with open(path, "rb") as f:
         _expect_magic(f, b"WGT1")
         (version,) = _read_struct(f, "<I", "format version")
-        if version > WEIGHTS_VERSION:
+        if version != WEIGHTS_VERSION:
             raise FormatError(f"unsupported weight format version {version}")
-        return _unpack_config(f)
-
-
-def load_weights(path, model: Model) -> Model:
-    """Load parameters into ``model``; its config must match the archive echo."""
-    with open(path, "rb") as f:
-        _expect_magic(f, b"WGT1")
-        (version,) = _read_struct(f, "<I", "format version")
-        if version > WEIGHTS_VERSION:
-            raise FormatError(f"unsupported weight format version {version}")
-        stored = _unpack_config(f)
-        if stored != model.config:
-            raise CompatibilityError(
-                f"archive was written for config {stored}, model has {model.config}")
+        cfg = _unpack_config(f)
+        # the echo's size is checked against the file before the model is allocated
+        n_values, left = parameter_count(cfg), os.fstat(f.fileno()).st_size - f.tell()
+        if 8 * n_values > left:
+            raise CorruptionError(
+                f"config echo declares {n_values} parameters, only {left} bytes left")
+        model = build_model(cfg)
         params = model.parameters()
         (count,) = _read_struct(f, "<I", "tensor count")
         if count != len(params):
             raise CorruptionError(f"archive has {count} tensors, model needs {len(params)}")
         for _ in range(count):
             (name_len,) = _read_struct(f, "<H", "tensor name length")
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            raw_name = _read_exact(f, name_len, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptionError(f"tensor name {raw_name!r} is not UTF-8") from exc
             (ndim,) = _read_struct(f, "<B", "tensor rank")
             shape = _read_struct(f, f"<{ndim}I", "tensor shape")
             body = _read_exact(f, math.prod(shape) * 8, f"tensor {name} data")
-            if name not in params:
-                raise CorruptionError(f"archive names unknown tensor {name!r}")
-            target = params[name]
+            # count == len(params), so unique known names fill every parameter
+            target = params.pop(name, None)
+            if target is None:
+                raise CorruptionError(f"archive names unknown or repeated tensor {name!r}")
             if tuple(shape) != target.values.shape:
                 raise CorruptionError(
                     f"tensor {name!r} has shape {tuple(shape)}, model expects "
@@ -271,43 +273,47 @@ def load_manifest(path) -> DatasetManifest:
     sample_rate = None
     seen_paths = set()
 
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n").strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if fields[0].startswith("@"):
-                key = fields[0][1:]
-                try:
-                    if key == "n_classes":
-                        declared_classes = int(fields[1])
-                    elif key == "shape":
-                        shape = (int(fields[1]), int(fields[2]), int(fields[3]))
-                    elif key == "sample_rate_hz":
-                        sample_rate = float(fields[1])
-                    else:
-                        raise ValidationError(f"line {lineno}: unknown directive @{key}")
-                except (IndexError, ValueError) as exc:
-                    raise ValidationError(f"line {lineno}: bad directive {line!r}") from exc
-                continue
-            if len(fields) != 3:
-                raise ValidationError(
-                    f"line {lineno}: expected 'path<TAB>label<TAB>split', got {line!r}")
-            file_path, label_text, split = fields
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"manifest {path} is not UTF-8 text: {exc.reason}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip("\n").strip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        if fields[0].startswith("@"):
+            key = fields[0][1:]
             try:
-                label = int(label_text)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: label {label_text!r} is not an integer") from exc
-            if label < 0:
-                raise ValidationError(f"line {lineno}: label must be >= 0, got {label}")
-            if split not in _SPLITS:
-                raise ValidationError(
-                    f"line {lineno}: split must be one of {_SPLITS}, got {split!r}")
-            if file_path in seen_paths:
-                raise ValidationError(f"line {lineno}: duplicate path {file_path!r}")
-            seen_paths.add(file_path)
-            entries.append(ManifestEntry(path=file_path, label=label, split=split))
+                if key == "n_classes":
+                    declared_classes = int(fields[1])
+                elif key == "shape":
+                    shape = (int(fields[1]), int(fields[2]), int(fields[3]))
+                elif key == "sample_rate_hz":
+                    sample_rate = float(fields[1])
+                else:
+                    raise ValidationError(f"line {lineno}: unknown directive @{key}")
+            except (IndexError, ValueError) as exc:
+                raise ValidationError(f"line {lineno}: bad directive {line!r}") from exc
+            continue
+        if len(fields) != 3:
+            raise ValidationError(
+                f"line {lineno}: expected 'path<TAB>label<TAB>split', got {line!r}")
+        file_path, label_text, split = fields
+        try:
+            label = int(label_text)
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: label {label_text!r} is not an integer") from exc
+        if label < 0:
+            raise ValidationError(f"line {lineno}: label must be >= 0, got {label}")
+        if split not in _SPLITS:
+            raise ValidationError(
+                f"line {lineno}: split must be one of {_SPLITS}, got {split!r}")
+        if file_path in seen_paths:
+            raise ValidationError(f"line {lineno}: duplicate path {file_path!r}")
+        seen_paths.add(file_path)
+        entries.append(ManifestEntry(path=file_path, label=label, split=split))
 
     if not entries:
         raise ValidationError(f"manifest {path} has no entries")

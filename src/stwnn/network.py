@@ -107,96 +107,84 @@ class Model:
 
     def parameters(self) -> dict:
         """Named parameter tensors in a stable order."""
-        params = {}
-        for i, blk in enumerate(self.blocks):
-            params[f"block{i}.conv1.weight"] = blk.conv1_w
-            params[f"block{i}.conv1.bias"] = blk.conv1_b
-            params[f"block{i}.conv2.weight"] = blk.conv2_w
-            params[f"block{i}.conv2.bias"] = blk.conv2_b
-            if blk.proj_w is not None:
-                params[f"block{i}.proj.weight"] = blk.proj_w
-                params[f"block{i}.proj.bias"] = blk.proj_b
-        for i, (w, b) in enumerate(zip(self.tap_weights, self.tap_biases)):
-            params[f"tap{i}.weight"] = w
-            params[f"tap{i}.bias"] = b
-        params["attention.weight"] = self.attention.weight
-        params["attention.bias"] = self.attention.bias
-        params["classifier.weight"] = self.clf_w
-        params["classifier.bias"] = self.clf_b
-        params["gate.weight"] = self.gate.weight
-        params["gate.bias"] = self.gate.bias
-        return params
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
+        tensors = [t for blk in self.blocks for t in (blk.conv1_w, blk.conv1_b, blk.conv2_w,
+                                                      blk.conv2_b, blk.proj_w, blk.proj_b)
+                   if t is not None]
+        tensors += [t for pair in zip(self.tap_weights, self.tap_biases) for t in pair]
+        tensors += [self.attention.weight, self.attention.bias, self.clf_w, self.clf_b,
+                    self.gate.weight, self.gate.bias]
+        return dict(zip(_parameter_shapes(self.config), tensors, strict=True))
 
 
-def _planar_kernel(kernel) -> tuple:
-    """Collapse the temporal kernel extent, widening the spatial square to
-    keep the per-kernel weight count as close as possible."""
-    volume = kernel[0] * kernel[1] * kernel[2]
-    best = 1
-    for k in range(1, volume + 2, 2):
-        if abs(k * k - volume) < abs(best * best - volume):
-            best = k
-    return (1, best, best)
+def _block_kernel(config: NetworkConfig) -> tuple:
+    """The conv kernel of the variant. The planar one collapses the temporal
+    extent and widens the spatial square to the odd side whose area is
+    nearest the full kernel's volume, the smaller side on a tie."""
+    if config.variant == "stwnn":
+        return config.kernel
+    volume = math.prod(config.kernel)
+    lo = math.isqrt(volume)
+    lo -= 1 - lo % 2  # the largest odd side at or below sqrt(volume)
+    side = lo if volume - lo * lo <= (lo + 2) ** 2 - volume else lo + 2
+    return (1, side, side)
 
 
-def _glorot(rng, shape, fan_in, fan_out) -> Tensor:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+def _parameter_shapes(config: NetworkConfig) -> dict:
+    """Name -> shape of every parameter, in ``Model.parameters`` order."""
+    kernel, f, n = _block_kernel(config), config.feature_dim, config.n_classes
+    shapes, c_prev = {}, config.in_channels
+    for i, c in enumerate(config.block_channels):
+        shapes[f"block{i}.conv1.weight"] = (c, c_prev, *kernel)
+        shapes[f"block{i}.conv1.bias"] = (c,)
+        shapes[f"block{i}.conv2.weight"] = (c, c, *kernel)
+        shapes[f"block{i}.conv2.bias"] = (c,)
+        if c_prev != c:
+            shapes[f"block{i}.proj.weight"] = (c, c_prev, 1, 1, 1)
+            shapes[f"block{i}.proj.bias"] = (c,)
+        c_prev = c
+    for i, c in enumerate(config.block_channels):
+        shapes[f"tap{i}.weight"], shapes[f"tap{i}.bias"] = (f, c), (f,)
+    shapes.update({"attention.weight": (f,), "attention.bias": (1,),
+                   "classifier.weight": (n, c_prev), "classifier.bias": (n,),
+                   "gate.weight": (n, f), "gate.bias": (n,)})
+    return shapes
 
 
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def parameter_count(config: NetworkConfig) -> int:
+    """Number of values ``build_model(config)`` allocates, from the config alone."""
+    return sum(math.prod(shape) for shape in _parameter_shapes(config).values())
 
 
 def build_model(config: NetworkConfig) -> Model:
     """Construct a model with seeded Glorot-uniform weights and zero biases.
 
-    The gate bias starts at one so the mask-modulated branch initially
-    reproduces the plain branch.
+    Weights are drawn in ``Model.parameters`` order. A weight of shape
+    (out, in, *kernel) has fan-in in * kernel volume and fan-out out * kernel
+    volume; the attention weight (f,) counts as (1, f). The gate bias starts
+    at one so the mask-modulated branch initially reproduces the plain branch.
     """
     rng = np.random.default_rng(config.seed)
-    kernel = config.kernel if config.variant == "stwnn" else _planar_kernel(config.kernel)
-    kd, kh, kw = kernel
-    k_volume = kd * kh * kw
-
-    blocks = []
-    c_prev = config.in_channels
-    for c_out in config.block_channels:
-        conv1_w = _glorot(rng, (c_out, c_prev, kd, kh, kw),
-                          c_prev * k_volume, c_out * k_volume)
-        conv2_w = _glorot(rng, (c_out, c_out, kd, kh, kw),
-                          c_out * k_volume, c_out * k_volume)
-        blk = BlockParams(conv1_w=conv1_w, conv1_b=_zeros(c_out),
-                          conv2_w=conv2_w, conv2_b=_zeros(c_out))
-        if c_prev != c_out:
-            blk.proj_w = _glorot(rng, (c_out, c_prev, 1, 1, 1), c_prev, c_out)
-            blk.proj_b = _zeros(c_out)
-        blocks.append(blk)
-        c_prev = c_out
-
-    tap_weights, tap_biases = [], []
-    for c_out in config.block_channels:
-        tap_weights.append(_glorot(rng, (config.feature_dim, c_out),
-                                   c_out, config.feature_dim))
-        tap_biases.append(_zeros(config.feature_dim))
-
-    attention = AttentionParams(
-        weight=_glorot(rng, (config.feature_dim,), config.feature_dim, 1),
-        bias=_zeros(1))
-    clf_w = _glorot(rng, (config.n_classes, config.block_channels[-1]),
-                    config.block_channels[-1], config.n_classes)
-    clf_b = _zeros(config.n_classes)
-    gate = GateHead(
-        weight=_glorot(rng, (config.n_classes, config.feature_dim),
-                       config.feature_dim, config.n_classes),
-        bias=Tensor(np.ones(config.n_classes), requires_grad=True))
-
-    return Model(config=config, blocks=blocks, tap_weights=tap_weights,
-                 tap_biases=tap_biases, attention=attention,
-                 clf_w=clf_w, clf_b=clf_b, gate=gate, kernel_dims=kernel)
+    p = {}
+    for name, shape in _parameter_shapes(config).items():
+        if name.endswith(".bias"):
+            values = np.ones(shape) if name == "gate.bias" else np.zeros(shape)
+        else:
+            fan_out, fan_in = (1, shape[0]) if len(shape) == 1 else shape[:2]
+            k_volume = math.prod(shape[2:])
+            limit = math.sqrt(6.0 / (fan_in * k_volume + fan_out * k_volume))
+            values = rng.uniform(-limit, limit, size=shape)
+        p[name] = Tensor(values, requires_grad=True)
+    parts = ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias",
+             "proj.weight", "proj.bias")  # BlockParams field order; no proj -> None
+    ids = range(len(config.block_channels))
+    return Model(config=config,
+                 blocks=[BlockParams(*(p.get(f"block{i}.{x}") for x in parts)) for i in ids],
+                 tap_weights=[p[f"tap{i}.weight"] for i in ids],
+                 tap_biases=[p[f"tap{i}.bias"] for i in ids],
+                 attention=AttentionParams(p["attention.weight"], p["attention.bias"]),
+                 clf_w=p["classifier.weight"], clf_b=p["classifier.bias"],
+                 gate=GateHead(p["gate.weight"], p["gate.bias"]),
+                 kernel_dims=_block_kernel(config))
 
 
 def residual_block_forward(x: Tensor, params: BlockParams, kernel=(3, 3, 3)) -> Tensor:
@@ -277,22 +265,10 @@ def _sample_to_array(sample, in_channels: int) -> np.ndarray:
     return np.ascontiguousarray(sample.transpose(0, 2, 1, 3), dtype=np.float64)
 
 
-def _forward_one(model: Model, sample):
+def forward(model: Model, sample) -> tuple:
+    """Inference pass on one (C, sub, time, ant) ndarray, returning the 1-D
+    (logits, probs, mask) arrays; ``training.predict`` maps it over samples."""
     x = Tensor(_sample_to_array(sample, model.config.in_channels))
     logits_t, mask_t = forward_graph(model, x)
     probs_t = ad.softmax(logits_t)
     return logits_t.values.copy(), probs_t.values.copy(), mask_t.values.copy()
-
-
-def forward(model: Model, inputs):
-    """Inference pass returning (logits, probs, mask) numpy arrays.
-
-    One (C, sub, time, ant) ndarray yields 1-D outputs; a list or tuple of
-    them yields row-stacked 2-D outputs.
-    """
-    if not isinstance(inputs, (list, tuple)):
-        return _forward_one(model, inputs)
-    if not inputs:
-        raise UsageError("empty input")
-    rows = [_forward_one(model, sample) for sample in inputs]
-    return tuple(np.stack(column) for column in zip(*rows))

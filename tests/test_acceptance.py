@@ -448,12 +448,11 @@ def test_c09_persistence(tmp_path):
                                                               size=int(rng.integers(1, 4)))),
             feature_dim=int(rng.integers(1, 6)), seed=int(rng.integers(1000)))
         model = net.build_model(cfg)
+        for p in model.parameters().values():
+            p.values = p.values + 1.0  # away from the seeded init, so loading must restore
         path = tmp_path / f"m{i}.wgt1"
         dataio.save_weights(path, model)
-        fresh = net.build_model(cfg)
-        for p in fresh.parameters().values():
-            p.values = p.values + 1.0
-        loaded = dataio.load_weights(path, fresh)
+        loaded = dataio.load_weights(path)
         same = all(np.array_equal(a.values, b.values)
                    for a, b in zip(model.parameters().values(),
                                    loaded.parameters().values()))
@@ -467,8 +466,7 @@ def test_c09_persistence(tmp_path):
     truncation_checks = 0
     for source, loader in ((stream_path, dataio.load_stream),
                            (vol_path, dataio.load_volumes),
-                           (weight_path, lambda p: dataio.load_weights(
-                               p, net.build_model(dataio.peek_weights_config(p))))):
+                           (weight_path, dataio.load_weights)):
         blob = source.read_bytes()
         cut_points = sorted(set(list(range(0, min(len(blob), 40))) + [
             len(blob) // 3, len(blob) // 2, len(blob) - 1]))

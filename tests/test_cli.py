@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stwnn import cli, dataio
+from stwnn.volumes import Volume3D
 
 
 def run(*argv):
@@ -194,6 +195,56 @@ class TestTrainEvalShift:
         assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
                    "--weights", str(weights)) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "shift"])
+    def test_echo_larger_than_file_is_runtime_failure(self, small_pipeline, tmp_path,
+                                                      command, capsys):
+        weights = tmp_path / "m.wgt1"
+        data = bytearray(small_pipeline["weights"].read_bytes())
+        data[12:16] = struct.pack("<I", 2**31)  # in_channels
+        weights.write_bytes(bytes(data))
+        manifest = small_pipeline["vols" if command == "eval" else "data"] / "manifest.tsv"
+        assert run(command, "--manifest", str(manifest), "--weights", str(weights)) == 1
+        assert "bytes left" in capsys.readouterr().err
+
+    def test_non_utf8_tensor_name_is_runtime_failure(self, small_pipeline, tmp_path):
+        weights = tmp_path / "m.wgt1"
+        data = bytearray(small_pipeline["weights"].read_bytes())
+        data[data.index(b"gate.bias")] = 0xFF
+        weights.write_bytes(bytes(data))
+        assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--weights", str(weights)) == 1
+
+    @staticmethod
+    def volume_files(root, scale_rows, splits):
+        """One VOL1 file per entry of ``scale_rows`` (a list of per-segment scale
+        tuples) in the given splits, a well-formed test file, and their manifest."""
+        rng = np.random.default_rng(60)
+        root.mkdir()
+        entries = []
+        for i, (rows, split) in enumerate(zip([*scale_rows, [(1,)]], [*splits, "test"])):
+            dataio.save_volumes(root / f"f{i}.vol1", [
+                Volume3D(data=rng.standard_normal((12, 16, 9)), scale=scale,
+                         source_segment=segment, label=0)
+                for segment, scales in enumerate(rows) for scale in scales])
+            entries.append(dataio.ManifestEntry(f"f{i}.vol1", 0, split))
+        dataio.write_manifest(root / "manifest.tsv",
+                              dataio.DatasetManifest(entries=entries, n_classes=2))
+        return root / "manifest.tsv"
+
+    @pytest.mark.parametrize("rows", [[(1, 1), (1, 1)], [(1, 2), (1, 4)], [(1,), (1, 2)]])
+    def test_irregular_scales_in_a_file_are_corruption(self, tmp_path, rows, capsys):
+        manifest = self.volume_files(tmp_path / "v", [rows], ["train"])
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 1
+        assert "f0.vol1: segment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_files_with_other_scales_are_not_mixed(self, tmp_path, split, capsys):
+        manifest = self.volume_files(tmp_path / "v", [[(1, 2)], [(1, 4)]], ["train", split])
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 2
+        assert "(1, 4)" in capsys.readouterr().err
+
     def test_non_finite_lr_is_usage_error(self, small_pipeline, tmp_path):
         weights = tmp_path / "nan.wgt1"
         assert run("train", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
@@ -250,6 +301,15 @@ class TestExitCodesAndLogging:
         assert run("segment", "--manifest", str(out / "manifest.tsv"),
                    "--out", str(tmp_path / "v"), "--window", "32",
                    "--overlap", "0") == 1
+
+    def test_non_utf8_manifest_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        synth_small(out, per_class="1")
+        manifest = out / "manifest.tsv"
+        manifest.write_bytes(manifest.read_bytes() + b"# r\xe9sum\xe9\n")
+        assert run("segment", "--manifest", str(manifest), "--out", str(tmp_path / "v"),
+                   "--window", "32", "--overlap", "0") == 2
+        assert f"manifest {manifest} is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan")])
     def test_bad_sample_rate_is_runtime_failure(self, tmp_path, rate):
@@ -416,6 +476,12 @@ class TestConfigFile:
         assert run("train", "--config", str(cfg), "--manifest", str(vols / "manifest.tsv"),
                    "--out", str(tmp_path / "m.wgt1")) == 0
         assert len((tmp_path / "m.history.tsv").read_text().splitlines()) == 2
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"synth.classes = 2 # \xe9t\xe9\n")
+        assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert f"config file {cfg} is not UTF-8" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stwnn import csi, dataio, network as net
-from stwnn.errors import (CompatibilityError, CorruptionError, FormatError,
-                          ValidationError)
+from stwnn.errors import CorruptionError, FormatError, ValidationError
 from stwnn.volumes import Volume3D
 
 
@@ -171,92 +170,108 @@ class TestVolumeRoundTrip:
 class TestWeightsRoundTrip:
     CFG = dict(n_classes=3, in_channels=2, block_channels=(2, 3), feature_dim=4, seed=11)
 
+    def saved(self, tmp_path, **overrides):
+        model = net.build_model(net.NetworkConfig(**{**self.CFG, **overrides}))
+        path = tmp_path / "m.wgt1"
+        dataio.save_weights(path, model)
+        return model, path
+
+    def corrupted(self, path, offset, raw):
+        data = bytearray(path.read_bytes())
+        data[offset:offset + len(raw)] = raw
+        path.write_bytes(bytes(data))
+        return path
+
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = net.build_model(net.NetworkConfig(**self.CFG))
+        for p in model.parameters().values():
+            p.values = p.values + 1.0  # away from the seeded init, so loading must restore
         x = np.random.default_rng(46).standard_normal((2, 5, 6, 9))
         before = net.forward(model, x)
         path = tmp_path / "m.wgt1"
         dataio.save_weights(path, model)
 
-        fresh = net.build_model(net.NetworkConfig(**self.CFG))
-        for p in fresh.parameters().values():
-            p.values = p.values + 1.0  # make sure loading actually restores
-        loaded = dataio.load_weights(path, fresh)
+        loaded = dataio.load_weights(path)
         after = net.forward(loaded, x)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
-    def test_config_mismatch(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        other = net.build_model(net.NetworkConfig(**{**self.CFG, "n_classes": 4}))
-        with pytest.raises(CompatibilityError):
-            dataio.load_weights(path, other)
-
     def test_unsupported_version_names_it(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(data))
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, 4, struct.pack("<I", 9))
         with pytest.raises(FormatError, match="9"):
-            dataio.load_weights(path, model)
+            dataio.load_weights(path)
 
-    def test_peek_config(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        assert dataio.peek_weights_config(path) == model.config
+    def test_version_zero_is_unsupported(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, 4, struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="version 0"):
+            dataio.load_weights(path)
 
-    # config echo offsets for two blocks: magic, version, n_classes @8, in_channels,
+    def test_config_echo_rebuilds_model(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        assert dataio.load_weights(path).config == model.config
+
+    # config echo offsets for two blocks: magic, version, n_classes @8, in_channels @12,
     # block count, two channels, three kernel dims, feature vector count @40
     def test_feature_vector_slot_is_the_block_count(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        data = bytearray(path.read_bytes())
-        assert struct.unpack("<I", data[40:44]) == (2,)
-        data[40:44] = struct.pack("<I", 5)
-        path.write_bytes(bytes(data))
+        _, path = self.saved(tmp_path)
+        assert struct.unpack("<I", path.read_bytes()[40:44]) == (2,)
+        self.corrupted(path, 40, struct.pack("<I", 5))
         with pytest.raises(CorruptionError, match="block count"):
-            dataio.peek_weights_config(path)
-        with pytest.raises(CorruptionError, match="block count"):
-            dataio.load_weights(path, model)
+            dataio.load_weights(path)
 
     @pytest.mark.parametrize("offset, value", [(8, 0), (32, 2)])  # n_classes, a kernel dim
     def test_rejected_config_echo_is_corruption(self, tmp_path, offset, value):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        data = bytearray(path.read_bytes())
-        data[offset:offset + 4] = struct.pack("<I", value)
-        path.write_bytes(bytes(data))
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, offset, struct.pack("<I", value))
         with pytest.raises(CorruptionError, match="config echo"):
-            dataio.peek_weights_config(path)
+            dataio.load_weights(path)
+
+    @pytest.mark.parametrize("offset, value", [(12, 2**31), (8, 2**31), (44, 2**31 - 1)])
+    def test_echo_larger_than_file_is_corruption(self, tmp_path, offset, value):
+        # in_channels, n_classes, feature_dim: each sizes a weight past what the file holds
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, offset, struct.pack("<I", value))
+        with pytest.raises(CorruptionError, match="parameters"):
+            dataio.load_weights(path)
+
+    def test_huge_planar_kernel_is_corruption(self, tmp_path):
+        # the planar kernel side is found in closed form, not by a search over the volume
+        _, path = self.saved(tmp_path, variant="wnn2d")
+        self.corrupted(path, 28, struct.pack("<III", *[2**32 - 1] * 3))
+        with pytest.raises(CorruptionError, match="parameters"):
+            dataio.load_weights(path)
+
+    def test_repeated_tensor_name_is_corruption(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        data = path.read_bytes()
+        assert data.count(b"block0.conv2.bias") == 1
+        path.write_bytes(data.replace(b"block0.conv2.bias", b"block0.conv1.bias"))
+        with pytest.raises(CorruptionError, match="block0.conv1.bias"):
+            dataio.load_weights(path)
+
+    def test_non_utf8_tensor_name_is_corruption(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, path.read_bytes().index(b"block0.conv1.weight"), b"\xff")
+        with pytest.raises(CorruptionError, match="UTF-8"):
+            dataio.load_weights(path)
 
     def test_huge_declared_tensor_is_corruption(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
+        _, path = self.saved(tmp_path)
         data = bytearray(path.read_bytes())
         name = b"block0.conv1.weight"
         at = data.index(name) + len(name)  # then ndim u8 and the dims
         ndim = data[at]
-        data[at + 1:at + 1 + 4 * ndim] = struct.pack(f"<{ndim}I", *[2**32 - 1] * ndim)
-        path.write_bytes(bytes(data))
+        self.corrupted(path, at + 1, struct.pack(f"<{ndim}I", *[2**32 - 1] * ndim))
         with pytest.raises(CorruptionError, match="truncated"):
-            dataio.load_weights(path, net.build_model(net.NetworkConfig(**self.CFG)))
+            dataio.load_weights(path)
 
     def test_truncated_tensor_data(self, tmp_path):
-        model = net.build_model(net.NetworkConfig(**self.CFG))
-        path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
-        data = path.read_bytes()
-        path.write_bytes(data[:-12])
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
         with pytest.raises(CorruptionError):
-            dataio.load_weights(path, net.build_model(net.NetworkConfig(**self.CFG)))
+            dataio.load_weights(path)
 
 
 class TestManifest:
@@ -275,6 +290,12 @@ class TestManifest:
     def test_unknown_split_cites_line(self, tmp_path):
         path = self.write(tmp_path, "a.csi1\t0\ttrain\nb.csi1\t0\ttst\n")
         with pytest.raises(ValidationError, match="line 2"):
+            dataio.load_manifest(path)
+
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"a.csi1\t0\ttrain\nb\xff.csi1\t1\ttest\n")
+        with pytest.raises(ValidationError, match="manifest.tsv"):
             dataio.load_manifest(path)
 
     def test_comment_only_file(self, tmp_path):

@@ -1,5 +1,8 @@
 """Model construction, residual blocks, attention, and the forward pass."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -34,10 +37,26 @@ class TestBuildModel:
         assert model.kernel_dims == (1, 5, 5)
 
     def test_variant_parameter_counts_close(self):
-        full = net.build_model(net.NetworkConfig(n_classes=3, seed=0))
-        planar = net.build_model(net.NetworkConfig(n_classes=3, variant="wnn2d", seed=0))
-        rel = abs(full.parameter_count() - planar.parameter_count()) / full.parameter_count()
-        assert rel < 0.10
+        full = net.parameter_count(net.NetworkConfig(n_classes=3, seed=0))
+        planar = net.parameter_count(net.NetworkConfig(n_classes=3, variant="wnn2d", seed=0))
+        assert abs(full - planar) / full < 0.10
+
+    @pytest.mark.parametrize("variant", ["stwnn", "wnn2d"])
+    @pytest.mark.parametrize("cfg", [dict(n_classes=3), dict(
+        n_classes=4, in_channels=2, block_channels=(3, 3, 5), kernel=(5, 3, 1), feature_dim=6)])
+    def test_parameter_count_matches_built_model(self, variant, cfg):
+        config = net.NetworkConfig(**cfg, variant=variant)
+        model = net.build_model(config)
+        assert net.parameter_count(config) == sum(p.size for p in model.parameters().values())
+
+    def test_planar_kernel_side_is_nearest_odd_square(self):
+        for kernel in itertools.product(range(1, 16, 2), repeat=3):
+            volume = math.prod(kernel)
+            side = net.build_model(net.NetworkConfig(
+                n_classes=2, in_channels=1, block_channels=(1,), kernel=kernel,
+                feature_dim=1, variant="wnn2d")).kernel_dims[1]
+            best = min(range(1, volume + 2, 2), key=lambda k: (abs(k * k - volume), k))
+            assert side == best, kernel
 
     def test_default_shape_propagation(self):
         model = net.build_model(net.NetworkConfig(n_classes=4, in_channels=3, seed=1))
@@ -198,15 +217,6 @@ class TestForward:
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs >= 0)
 
-    def test_batch_of_duplicates(self):
-        model = tiny_model()
-        x = np.random.default_rng(25).standard_normal((2, 4, 6, 9))
-        logits, probs, mask = net.forward(model, [x, x])
-        assert logits.shape == (2, model.config.n_classes)
-        np.testing.assert_array_equal(logits[0], logits[1])
-        np.testing.assert_array_equal(probs[0], probs[1])
-        np.testing.assert_array_equal(mask[0], mask[1])
-
     def test_zero_classifier_gives_uniform(self):
         model = tiny_model()
         model.clf_w.values = np.zeros_like(model.clf_w.values)
@@ -233,10 +243,6 @@ class TestForward:
         x = np.random.default_rng(28).standard_normal((1, 4, 6, 9))
         logits, probs, mask = net.forward(model, x)
         assert logits.shape == (2,)
-        # a list of samples is always a batch, whatever the channel count
-        logits_b, _, _ = net.forward(model, [x, x])
-        assert logits_b.shape == (2, 2)
-        np.testing.assert_array_equal(logits_b[0], logits)
 
     def test_only_sample_arrays_accepted(self):
         model = tiny_model()  # two input channels
@@ -248,6 +254,8 @@ class TestForward:
             net.forward(model, vols[0])
         with pytest.raises(UsageError):
             net.forward(model, [])
+        with pytest.raises(UsageError):
+            net.forward(model, [rng.standard_normal((2, 4, 6, 9))] * 2)  # no batch path
         with pytest.raises(DimensionError):
             net.forward(model, rng.standard_normal((4, 6, 9)))  # 3-D: no channel axis
         with pytest.raises(DimensionError):
