@@ -4,7 +4,7 @@ evaluation and persistence tools."""
 
 from .autodiff import Tensor, backward, grad_check
 from .csi import (ActivitySpec, CsiStream, MotionComponent, amplitude,
-                  channel_apply, doppler_activity_spec, synth_stream)
+                  doppler_activity_spec, synth_stream)
 from .dataio import (DatasetManifest, ManifestEntry, load_manifest, load_stream,
                      load_volumes, load_weights, save_stream, save_volumes, save_weights,
                      write_manifest)
@@ -12,7 +12,7 @@ from .network import (AttentionParams, GateHead, Model, NetworkConfig, attention
                       build_model, forward, parameter_count, residual_block_forward)
 from .training import (EpochStats, Metrics, TrainConfig, combined_loss,
                        confusion_metrics, evaluate, masked_probs, one_hot,
-                       predict, sgd_momentum_step, shift_consistency, train)
+                       predict, shift_consistency, train)
 from .volumes import (SegmentationConfig, Volume3D, group_by_segment, normalize,
                       segment_stream, segment_volumes, stack_channels, stream_volumes,
                       upsample)

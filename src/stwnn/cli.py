@@ -8,9 +8,10 @@ rows of its key groups: synth ``synth.*``, segment ``segment.*``, shift the
 and each command logs one ``config <key> = <value>`` line per key it reads,
 sorted by key. The config file holds flat dotted keys, one "key = value" per
 line, "#" comments; any key of the table is accepted by every subcommand, so
-one file can serve the whole pipeline, and any other key is an error. The
-STWNN_LOG environment variable (debug/info/warning/quiet) selects log
-verbosity. Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+one file can serve the whole pipeline; any other key, or a repeated one, is
+an error. The STWNN_LOG environment variable (debug/info/warning/quiet)
+selects log verbosity. Exit codes: 0 success, 1 runtime failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _group(settings: dict, group: str) -> dict:
 
 def _load_config_file(path) -> dict:
     known = {row[0] for row in SETTINGS}
-    values = {}
+    values, seen_at = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -105,7 +106,10 @@ def _load_config_file(path) -> dict:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key in seen_at:
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key!r} repeats line {seen_at[key]}")
+        values[key], seen_at[key] = value.strip(), lineno
     return values
 
 
@@ -137,6 +141,8 @@ def _cmd_synth(args, settings: dict) -> int:
     n_classes = s["classes"]
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
+    if s["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {s['seed']}")
     per_split = {"train": s["per_class"], "val": s["val_per_class"],
                  "test": s["test_per_class"]}
     if per_split["train"] < 1 or per_split["test"] < 1:
@@ -210,7 +216,8 @@ def _cmd_segment(args, settings: dict) -> int:
 def _load_samples(manifest_path: Path, split: str):
     """(sample array, label) pairs for one split of a volumes manifest, its class
     count and its scales. Every segment of a file holds the same distinct
-    scales, and every file of the split the same scales."""
+    scales, and every file of the split the same scales. A volume stored
+    with a label must carry its manifest entry's label."""
     manifest = dataio.load_manifest(manifest_path)
     dataset = []
     split_scales = None
@@ -224,6 +231,11 @@ def _load_samples(manifest_path: Path, split: str):
                     f"{path}: segment {group[0].source_segment} has scales {scales}, "
                     f"expected distinct scales the same as the first segment's")
             file_scales = scales
+            for v in group:
+                if v.label is not None and v.label != e.label:
+                    raise ValidationError(
+                        f"{path}: segment {v.source_segment} is stored with label "
+                        f"{v.label}, the manifest gives {e.label}")
             dataset.append((volumes.stack_channels(group), e.label))
         if file_scales is not None and split_scales not in (None, file_scales):
             raise ValidationError(

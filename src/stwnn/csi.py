@@ -1,9 +1,8 @@
 """WiFi channel model and label-controlled synthetic CSI generation.
 
-A received packet on subcarrier s is modeled as the transmitted symbol
-multiplied by the complex channel matrix entry for that antenna pair and
-subcarrier, plus additive noise. Synthetic streams superpose a static
-channel with Doppler-modulated motion components so that class identity is
+Channel state information (CSI) is the complex channel gain per packet,
+antenna pair and subcarrier. Synthetic streams superpose a static channel
+with Doppler-modulated motion components so that class identity is
 controlled exactly by the component frequencies.
 
 A recording is one validated, read-only (I, n_tx, n_rx, n_sub) complex128
@@ -20,11 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-
-def _check_finite(array, what: str) -> None:
-    if not np.all(np.isfinite(array)):
-        raise ValidationError(f"{what} contains non-finite entries")
 
 
 def _check_rate(sample_rate_hz) -> None:
@@ -52,7 +46,8 @@ class CsiStream:
                 f"stream array must be 4-D (I, n_tx, n_rx, n_sub), got shape {h.shape}")
         if h.size == 0:
             raise ValidationError(f"a stream needs at least one non-empty frame, got {h.shape}")
-        _check_finite(h, "CSI stream")
+        if not np.all(np.isfinite(h)):
+            raise ValidationError("CSI stream contains non-finite entries")
         _check_rate(self.sample_rate_hz)
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -109,30 +104,6 @@ class ActivitySpec:
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "motion_components", components)
-
-
-def channel_apply(tx, h, noise, tx_ant: int, rx_ant: int) -> np.ndarray:
-    """Pass a per-subcarrier symbol vector through one antenna pair of one
-    packet's (n_tx, n_rx, n_sub) channel matrix, e.g. ``stream.h[i]``.
-
-    Returns received[s] = h[tx_ant, rx_ant, s] * tx[s] + noise[s].
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    tx = np.asarray(tx, dtype=np.complex128)
-    noise = np.asarray(noise, dtype=np.complex128)
-    if h.ndim != 3:
-        raise DimensionError(f"channel matrix must be 3-D, got shape {h.shape}")
-    n_tx, n_rx, n_sub = h.shape
-    if not (0 <= tx_ant < n_tx and 0 <= rx_ant < n_rx):
-        raise DimensionError(
-            f"antenna pair ({tx_ant}, {rx_ant}) out of range for {n_tx}x{n_rx}")
-    if tx.shape != (n_sub,) or noise.shape != (n_sub,):
-        raise DimensionError(
-            f"tx/noise must have shape ({n_sub},), got {tx.shape}/{noise.shape}")
-    _check_finite(h, "channel matrix")
-    _check_finite(tx, "tx symbols")
-    _check_finite(noise, "noise")
-    return h[tx_ant, rx_ant] * tx + noise
 
 
 def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,

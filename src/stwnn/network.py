@@ -63,6 +63,9 @@ class NetworkConfig:
             raise ConfigError(f"score_fn must be one of {SCORE_FNS}, got {self.score_fn!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not 0 <= self.seed < 2**63:
+            # WGT1 stores the seed as an i64
+            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
         object.__setattr__(self, "block_channels", blocks)
         object.__setattr__(self, "kernel", kernel)
 

@@ -2,7 +2,10 @@
 
 The loss mixes two cross-entropy terms: one on the plain class probabilities
 and one on probabilities after the logits are modulated by a gate computed
-from the attention mask. Evaluation always uses the plain branch.
+from the attention mask. ``masked_probs`` and ``combined_loss`` build that
+loss as autodiff graph nodes, on ``Tensor``s only, and ``sample_loss_graph``
+is the one sample's graph the trainer differentiates. Evaluation always uses
+the plain branch.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -67,63 +72,17 @@ def one_hot(label: int, n_classes: int) -> np.ndarray:
     return g
 
 
-def _mixed_ce(g: Tensor, probs_o: Tensor, probs_m: Tensor, mix: float) -> Tensor:
-    """mix * CE(g, probs_m) + (1 - mix) * CE(g, probs_o) for one one-hot row,
-    with log arguments clamped at 1e-12."""
+def combined_loss(g: Tensor, probs_o: Tensor, probs_m: Tensor, mix: float) -> Tensor:
+    """mix * CE(g, probs_m) + (1 - mix) * CE(g, probs_o) for one one-hot row
+    ``g``, with log arguments clamped at 1e-12."""
     ce_o = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_o))), -1.0)
     ce_m = ad.mul_const(ad.scalar_sum(ad.mul_elementwise(g, ad.clamped_log(probs_m))), -1.0)
     return ad.add(ad.mul_const(ce_m, mix), ad.mul_const(ce_o, 1.0 - mix))
 
 
-def _masked_probs(logits: Tensor, mask: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:
+def masked_probs(logits: Tensor, mask: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:
     """softmax(logits * (gate_w @ mask + gate_b))."""
     return ad.softmax(ad.mul_elementwise(logits, ad.linear(mask, gate_w, gate_b)))
-
-
-def combined_loss(g, probs_o, probs_masked, mix: float) -> float:
-    """Convex mix of two cross-entropies, averaged over the batch.
-
-    ``g`` holds one-hot rows; both probability arrays must row-sum to one
-    within 1e-6. Log arguments are clamped at 1e-12. Each row is evaluated
-    with the graph ``sample_loss_graph`` builds.
-    """
-    if not 0.0 <= mix <= 1.0:
-        raise ConfigError(f"mix must be in [0, 1], got {mix}")
-    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    probs_o = np.atleast_2d(np.asarray(probs_o, dtype=np.float64))
-    probs_masked = np.atleast_2d(np.asarray(probs_masked, dtype=np.float64))
-    if not (g.shape == probs_o.shape == probs_masked.shape):
-        raise ValidationError(
-            f"shape mismatch: g {g.shape}, plain {probs_o.shape}, masked {probs_masked.shape}")
-    if not (np.all((g == 0.0) | (g == 1.0)) and np.all(np.sum(g, axis=-1) == 1.0)):
-        raise ValidationError("ground truth rows must be one-hot")
-    for name, p in (("plain", probs_o), ("masked", probs_masked)):
-        if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-6):
-            raise ValidationError(f"{name} probabilities do not sum to 1 within 1e-6")
-    losses = [_mixed_ce(Tensor(gi), Tensor(po), Tensor(pm), mix).values[0]
-              for gi, po, pm in zip(g, probs_o, probs_masked)]
-    return float(np.mean(losses))
-
-
-def masked_probs(logits, mask, gate_weight, gate_bias) -> np.ndarray:
-    """softmax(logits * (gate_weight @ mask + gate_bias)), evaluated with the
-    graph ``sample_loss_graph`` builds."""
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    gate_weight = np.asarray(gate_weight, dtype=np.float64)
-    gate_bias = np.asarray(gate_bias, dtype=np.float64)
-    if gate_weight.shape != (logits.size, mask.size) or gate_bias.shape != logits.shape:
-        raise ValidationError(
-            f"gate shapes {gate_weight.shape}/{gate_bias.shape} do not map "
-            f"mask {mask.shape} to logits {logits.shape}")
-    return _masked_probs(Tensor(logits), Tensor(mask), Tensor(gate_weight),
-                         Tensor(gate_bias)).values
-
-
-def sgd_momentum_step(param, grad, velocity, lr: float, mu: float):
-    """velocity' = mu*velocity - lr*grad; param' = param + velocity'."""
-    velocity = mu * np.asarray(velocity) - lr * np.asarray(grad)
-    return np.asarray(param) + velocity, velocity
 
 
 class SgdMomentum:
@@ -136,19 +95,20 @@ class SgdMomentum:
         self.velocities = [np.zeros_like(p.values) for p in self.params]
 
     def step(self):
+        """velocity' = momentum*velocity - lr*grad; param' = param + velocity'."""
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            p.values, self.velocities[i] = sgd_momentum_step(
-                p.values, p.grad, self.velocities[i], self.lr, self.momentum)
+            self.velocities[i] = self.momentum * self.velocities[i] - self.lr * p.grad
+            p.values = p.values + self.velocities[i]
 
 
 def sample_loss_graph(model: net.Model, x: np.ndarray, label: int, mix: float) -> Tensor:
     """Differentiable combined loss for one (C, time, sub, ant) sample."""
     logits, mask = net.forward_graph(model, Tensor(x))
-    probs_m = _masked_probs(logits, mask, model.gate.weight, model.gate.bias)
+    probs_m = masked_probs(logits, mask, model.gate.weight, model.gate.bias)
     g = Tensor(one_hot(label, model.config.n_classes))
-    return _mixed_ce(g, ad.softmax(logits), probs_m, mix)
+    return combined_loss(g, ad.softmax(logits), probs_m, mix)
 
 
 def _check_dataset(dataset, n_classes: int, what: str):

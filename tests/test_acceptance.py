@@ -272,14 +272,16 @@ def test_c05_loss_boundary():
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
         g = tr.one_hot(int(rng.integers(n)), n)
+
+        def loss(mix):
+            return float(tr.combined_loss(Tensor(g), Tensor(p), Tensor(q), mix).values[0])
+
         plain_ce = float(-np.sum(g * np.log(np.maximum(p, 1e-12))))
-        boundary_worst = max(boundary_worst,
-                             abs(tr.combined_loss(g, p, q, mix=0.0) - plain_ce))
-        at0 = tr.combined_loss(g, p, q, mix=0.0)
-        at1 = tr.combined_loss(g, p, q, mix=1.0)
+        boundary_worst = max(boundary_worst, abs(loss(0.0) - plain_ce))
+        at0 = loss(0.0)
+        at1 = loss(1.0)
         lam = float(rng.uniform())
-        linear_worst = max(linear_worst, abs(
-            tr.combined_loss(g, p, q, mix=lam) - (lam * at1 + (1 - lam) * at0)))
+        linear_worst = max(linear_worst, abs(loss(lam) - (lam * at1 + (1 - lam) * at0)))
     ok = boundary_worst < 1e-12 and linear_worst < 1e-12
     _report("C5 loss boundary", ok,
             f"mix-0 dev {boundary_worst:.1e} (<1e-12), linearity dev "

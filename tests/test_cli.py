@@ -32,6 +32,11 @@ class TestSynth:
         for name in files1:
             assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "x"
+        assert run("synth", "--out", str(out), "--seed", "-1") == 2
+        assert not out.exists()
+
     def test_zero_per_class_is_usage_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "x"), "--per-class", "0") == 2
 
@@ -214,17 +219,26 @@ class TestTrainEvalShift:
         assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
                    "--weights", str(weights)) == 1
 
+    @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--net-seed", "-1"),
+                                       ("--net-seed", str(2**63))])
+    def test_out_of_range_seed_is_usage_error(self, small_pipeline, tmp_path, flags):
+        weights = tmp_path / "m.wgt1"
+        assert run("train", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--out", str(weights), "--epochs", "1", *flags) == 2
+        assert not weights.exists()
+
     @staticmethod
-    def volume_files(root, scale_rows, splits):
+    def volume_files(root, scale_rows, splits, label=0):
         """One VOL1 file per entry of ``scale_rows`` (a list of per-segment scale
-        tuples) in the given splits, a well-formed test file, and their manifest."""
+        tuples) in the given splits, a well-formed test file, and their manifest;
+        every entry is class 0 and every volume is stored with ``label``."""
         rng = np.random.default_rng(60)
         root.mkdir()
         entries = []
         for i, (rows, split) in enumerate(zip([*scale_rows, [(1,)]], [*splits, "test"])):
             dataio.save_volumes(root / f"f{i}.vol1", [
                 Volume3D(data=rng.standard_normal((12, 16, 9)), scale=scale,
-                         source_segment=segment, label=0)
+                         source_segment=segment, label=label)
                 for segment, scales in enumerate(rows) for scale in scales])
             entries.append(dataio.ManifestEntry(f"f{i}.vol1", 0, split))
         dataio.write_manifest(root / "manifest.tsv",
@@ -244,6 +258,18 @@ class TestTrainEvalShift:
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 2
         assert "(1, 4)" in capsys.readouterr().err
+
+    def test_stored_label_must_match_manifest(self, tmp_path, capsys):
+        manifest = self.volume_files(tmp_path / "v", [[(1,), (1,)]], ["train"], label=1)
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 2
+        assert ("f0.vol1: segment 0 is stored with label 1, the manifest gives 0"
+                in capsys.readouterr().err)
+
+    def test_unlabeled_volumes_load(self, tmp_path):
+        manifest = self.volume_files(tmp_path / "v", [[(1,)]], ["train"], label=None)
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1", "--blocks", "2", "--feature-dim", "4") == 0
 
     def test_non_finite_lr_is_usage_error(self, small_pipeline, tmp_path):
         weights = tmp_path / "nan.wgt1"
@@ -461,6 +487,13 @@ class TestConfigFile:
         cfg.write_text("train.epochs = 1\ntrain.epoch = 5\n")
         assert run("train", "--config", str(cfg), *REQUIRED["train"]) == 2
         assert f"{cfg}:2: unknown config key 'train.epoch'" in capsys.readouterr().err
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.epochs = 1\n# again\ntrain.epochs = 3\n")
+        assert run("train", "--config", str(cfg), *REQUIRED["train"]) == 2
+        assert (f"{cfg}:3: config key 'train.epochs' repeats line 1"
+                in capsys.readouterr().err)
 
     def test_one_file_serves_every_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"

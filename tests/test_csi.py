@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stwnn import csi
 from stwnn.errors import DimensionError, ValidationError
@@ -16,54 +15,6 @@ def simple_spec(n_ant=9, **kwargs):
                         doppler_hz=5.0, delay_weight=1.0, antenna_pattern=(1.0,) * n_ant),))
     defaults.update(kwargs)
     return csi.ActivitySpec(**defaults)
-
-
-class TestChannelApply:
-    def test_identity_channel(self):
-        h = np.ones((2, 2, 8), dtype=complex)
-        out = csi.channel_apply(np.ones(8, dtype=complex), h, np.zeros(8), 0, 1)
-        np.testing.assert_array_equal(out, np.ones(8, dtype=complex))
-
-    def test_single_entry(self):
-        h = np.full((1, 1, 1), 0.5 + 0.5j)
-        out = csi.channel_apply(np.ones(1, dtype=complex), h, np.zeros(1), 0, 0)
-        assert out[0] == pytest.approx(0.5 + 0.5j)
-
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(11)
-        h = rng.standard_normal((3, 3, 16)) + 1j * rng.standard_normal((3, 3, 16))
-        tx = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        noise = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        out = csi.channel_apply(tx, h, noise, 2, 1)
-        ref = np.array([h[2, 1, s] * tx[s] + noise[s] for s in range(16)])
-        np.testing.assert_allclose(out, ref, rtol=1e-15)
-
-    def test_shape_errors(self):
-        h = np.ones((2, 2, 4), dtype=complex)
-        with pytest.raises(DimensionError):
-            csi.channel_apply(np.ones(3, dtype=complex), h, np.zeros(4), 0, 0)
-        with pytest.raises(DimensionError):
-            csi.channel_apply(np.ones(4, dtype=complex), h, np.zeros(4), 2, 0)
-        with pytest.raises(DimensionError):  # a whole stream is not one packet's matrix
-            csi.channel_apply(np.ones(4, dtype=complex), h[None], np.zeros(4), 0, 0)
-
-    def test_non_finite_rejected(self):
-        h = np.ones((1, 1, 2), dtype=complex)
-        with pytest.raises(ValidationError):
-            csi.channel_apply(np.array([np.inf, 1.0], dtype=complex), h, np.zeros(2), 0, 0)
-
-    @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_linearity_without_noise(self, a, b):
-        rng = np.random.default_rng(12)
-        h = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
-        tx1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        tx2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        zero = np.zeros(6)
-        lhs = csi.channel_apply(a * tx1 + b * tx2, h, zero, 1, 0)
-        rhs = (a * csi.channel_apply(tx1, h, zero, 1, 0)
-               + b * csi.channel_apply(tx2, h, zero, 1, 0))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestSynthStream:

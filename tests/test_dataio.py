@@ -228,6 +228,13 @@ class TestWeightsRoundTrip:
         with pytest.raises(CorruptionError, match="config echo"):
             dataio.load_weights(path)
 
+    def test_negative_seed_echo_is_corruption(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        assert struct.unpack("<q", path.read_bytes()[50:58]) == (11,)  # after the codes @48
+        self.corrupted(path, 50, struct.pack("<q", -1))
+        with pytest.raises(CorruptionError, match="config echo: seed"):
+            dataio.load_weights(path)
+
     @pytest.mark.parametrize("offset, value", [(12, 2**31), (8, 2**31), (44, 2**31 - 1)])
     def test_echo_larger_than_file_is_corruption(self, tmp_path, offset, value):
         # in_channels, n_classes, feature_dim: each sizes a weight past what the file holds

@@ -76,6 +76,10 @@ class TestBuildModel:
             net.NetworkConfig(n_classes=2, variant="rnn")
         with pytest.raises(ConfigError):
             net.NetworkConfig(n_classes=2, block_channels=())
+        for seed in (-1, 2**63):  # WGT1 stores the seed as an i64
+            with pytest.raises(ConfigError, match="seed"):
+                net.NetworkConfig(n_classes=2, seed=seed)
+        assert net.NetworkConfig(n_classes=2, seed=2**63 - 1).seed == 2**63 - 1
 
     @pytest.mark.parametrize("kernel", [(2, 2, 2), (3, 4, 3), (1, 1, 2)])
     def test_even_kernel_rejected(self, kernel):
