@@ -26,6 +26,11 @@ def _check_rate(sample_rate_hz) -> None:
         raise ValidationError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class CsiStream:
     """One recording: a read-only (I, n_tx, n_rx, n_sub) complex128 array.
@@ -103,6 +108,7 @@ class ActivitySpec:
             raise ValidationError("an activity needs at least one motion component")
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _check_seed(self.seed)
         object.__setattr__(self, "motion_components", components)
 
 
@@ -171,6 +177,7 @@ def doppler_activity_spec(class_id: int, *, n_ant: int, duration_s: float = 1.0,
     plus a weaker component at 1.6x that frequency; antenna patterns are drawn
     from the seed so recordings of one class still vary.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     f = doppler_base_hz + doppler_step_hz * class_id
     components = (

@@ -10,7 +10,9 @@ the plain branch.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .autodiff import Tensor
-from .errors import ConfigError, UsageError, ValidationError
+from .errors import ConfigError, StwnnError, UsageError, ValidationError
 from .volumes import SegmentationConfig, segment_volumes, stack_channels
 
 
@@ -119,6 +121,38 @@ def _check_dataset(dataset, n_classes: int, what: str):
             raise ValidationError(f"label {label} out of range for {n_classes} classes")
 
 
+# (model, xs, labels, mix) of the running ``train`` call. Forked workers
+# inherit it copy-on-write, so only parameters, indices and gradients are sent.
+_SHARED = None
+
+
+def _worker_count(batch_size: int, n_samples: int) -> int:
+    """One training worker per core this process may run on, at most one per
+    sample of a batch; one (in-process) where ``fork`` is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, batch_size, n_samples)
+
+
+def _sample_grads(values, indices, inv: float):
+    """(loss, gradient per parameter) of each sample in ``indices``, in order,
+    with the shared model's parameters set to ``values``. Each loss is scaled
+    by ``inv`` (one over the batch size) before its own backward."""
+    model, xs, labels, mix = _SHARED
+    params = list(model.parameters().values())
+    for p, v in zip(params, values):
+        p.values = v
+    out = []
+    for idx in indices:
+        for p in params:
+            p.grad = None
+        loss = ad.mul_const(sample_loss_graph(model, xs[idx], labels[idx], mix), inv)
+        ad.backward(loss)
+        out.append((float(loss.values[0]), [p.grad for p in params]))
+    return out
+
+
 def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     """Optimize in place; returns (model restored to best validation OA, history).
 
@@ -126,7 +160,20 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     (C, sub, time, ant) ndarray, as ``volumes.stack_channels`` returns.
     Shuffling is reseeded per epoch from the config seed, so identical inputs
     give identical histories.
+
+    Per-sample gradients run on one forked worker per available core (see
+    ``_worker_count``), each on a contiguous slice of the batch. The parent
+    adds them up in batch order, exactly as one ``autodiff.backward`` per
+    sample would, so parameters and history do not depend on the core count.
+    A worker's ``StwnnError`` reaches the caller with its own type; a worker
+    that dies becomes a ``StwnnError``.
     """
+    global _SHARED
+    # imported here, so that commands which never train do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     n_classes = model.config.n_classes
     _check_dataset(train_set, n_classes, "train")
     _check_dataset(val_set, n_classes, "validation")
@@ -135,33 +182,50 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     labels = [int(label) for _, label in train_set]
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
+    workers = _worker_count(cfg.batch_size, len(xs))
 
     history = []
     best_oa = -1.0
     best_state = None
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(xs))
-        total_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            for p in opt.params:
-                p.grad = None
-            inv = 1.0 / len(batch)
-            for idx in batch:
-                loss = ad.mul_const(
-                    sample_loss_graph(model, xs[idx], labels[idx], cfg.mix), inv)
-                ad.backward(loss)
-                total_loss += float(loss.values[0]) * len(batch)
-            opt.step()
-        val_metrics = evaluate(model, val_set)
-        stats = EpochStats(epoch=epoch,
-                           train_loss=total_loss / len(xs),
-                           val_accuracy=val_metrics.overall_accuracy)
-        history.append(stats)
-        if stats.val_accuracy > best_oa:
-            best_oa = stats.val_accuracy
-            best_state = {name: p.values.copy() for name, p in params.items()}
+    _SHARED = (model, xs, labels, cfg.mix)
+    try:
+        # fork, not spawn: a spawned worker would import the package again and
+        # receive the whole dataset by pickle on every ``train`` call
+        with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+              if workers > 1 else contextlib.nullcontext()) as pool:
+            run = pool.map if pool else map
+            for epoch in range(cfg.epochs):
+                rng = np.random.default_rng([cfg.seed, epoch])
+                order = rng.permutation(len(xs))
+                total_loss = 0.0
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = order[start:start + cfg.batch_size]
+                    parts = np.array_split(batch, min(workers, len(batch)))
+                    values = [p.values for p in opt.params]
+                    # collected in full before the sum: in-process, _sample_grads
+                    # sets the grads of these very tensors
+                    results = list(run(_sample_grads, [values] * len(parts), parts,
+                                       [1.0 / len(batch)] * len(parts)))
+                    for p in opt.params:
+                        p.grad = None
+                    for loss, grads in (r for part in results for r in part):
+                        total_loss += loss * len(batch)
+                        for p, g in zip(opt.params, grads):
+                            if g is not None:
+                                p.grad = g.copy() if p.grad is None else p.grad + g
+                    opt.step()
+                val_metrics = evaluate(model, val_set)
+                stats = EpochStats(epoch=epoch,
+                                   train_loss=total_loss / len(xs),
+                                   val_accuracy=val_metrics.overall_accuracy)
+                history.append(stats)
+                if stats.val_accuracy > best_oa:
+                    best_oa = stats.val_accuracy
+                    best_state = {name: p.values.copy() for name, p in params.items()}
+    except BrokenProcessPool as exc:
+        raise StwnnError(f"a training worker process died: {exc}") from exc
+    finally:
+        _SHARED = None
 
     if best_state is not None:
         for name, p in params.items():

@@ -55,6 +55,15 @@ class TestSynthStream:
     def test_label_carried(self):
         assert csi.synth_stream(simple_spec(n_ant=1, class_id=2), 1, 1, 2, 100.0).label == 2
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            simple_spec(seed=-1)
+
+    def test_doppler_spec_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            csi.doppler_activity_spec(0, n_ant=9, seed=-1)
+        assert csi.doppler_activity_spec(0, n_ant=9, seed=0).seed == 0
+
 
 class TestAmplitude:
     def test_pythagorean(self):

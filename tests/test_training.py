@@ -1,13 +1,17 @@
 """Loss, optimizer, training loop, metrics, and the shift probe."""
 
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stwnn import autodiff as ad, csi, network as net, training as tr, volumes as vol
+from stwnn import autodiff as ad, cli, csi, network as net, training as tr, volumes as vol
 from stwnn.autodiff import Tensor
-from stwnn.errors import ConfigError, UsageError, ValidationError
+from stwnn.errors import (ConfigError, DimensionError, StwnnError, UsageError,
+                          ValidationError)
 
 TINY = dict(n_classes=2, in_channels=2, block_channels=(2,), feature_dim=3, seed=5)
 
@@ -245,6 +249,59 @@ class TestTrainLoop:
                 tr.TrainConfig(epochs=1, lr=lr)
         with pytest.raises(ConfigError, match="seed"):
             tr.TrainConfig(epochs=1, seed=-1)
+
+
+_SAMPLE_GRADS = tr._sample_grads
+
+
+def _first_part_finishes_last(values, indices, inv):
+    """``_sample_grads`` that holds back the larger, first part of a batch, so
+    its worker finishes after the one with the batch's tail."""
+    if len(indices) == 3:
+        time.sleep(0.5)
+    return _SAMPLE_GRADS(values, indices, inv)
+
+
+def _raise_dimension_error(*args):
+    raise DimensionError("bad sample")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="sample-parallel training forks its workers")
+class TestTrainWorkers:
+    def _train(self, monkeypatch, workers, epochs=2):
+        monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: workers)
+        data = tiny_dataset(3)          # 6 samples: batches of 5 (split 3 + 2) and 1
+        cfg = tr.TrainConfig(epochs=epochs, batch_size=5, lr=0.05, momentum=0.9, seed=4)
+        return tr.train(tiny_model(), data, data[:2], cfg)
+
+    def test_two_workers_are_bit_identical_to_one(self, monkeypatch):
+        monkeypatch.setattr(tr, "_sample_grads", _first_part_finishes_last)
+        serial, h1 = self._train(monkeypatch, 1)
+        forked, h2 = self._train(monkeypatch, 2)
+        assert h1 == h2
+        for name, p in serial.parameters().items():
+            assert np.array_equal(p.values, forked.parameters()[name].values), name
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(tr, "sample_loss_graph", _raise_dimension_error)
+        with pytest.raises(DimensionError, match="bad sample"):
+            self._train(monkeypatch, 2, epochs=1)
+        assert multiprocessing.active_children() == []
+        assert tr._SHARED is None
+
+    def test_dead_worker_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(tr, "sample_loss_graph", _die)
+        with pytest.raises(StwnnError, match="worker") as exc:
+            self._train(monkeypatch, 2, epochs=1)
+        assert not isinstance(exc.value, cli._USAGE_ERRORS)    # the CLI exits 1
+        assert multiprocessing.active_children() == []
+        assert tr._SHARED is None
 
 
 class TestEvaluate:
