@@ -11,11 +11,15 @@ bias term of ``linear``/``conv3d`` and the per-vector weights of
 
 ``conv3d`` pads its input once into a flat buffer and adds one GEMM per
 kernel tap, each reading a copy-free shifted view of that buffer; no patch
-matrix is built. The graph keeps only the padded buffer. The kernel gradient
-is one GEMM per tap against the same views, and the input gradient is the
-same tap-GEMM correlation of the output gradient with flipped kernels
-(the transposed-convolution identity). Strides keep every s-th position of
-the stride-1 result. These GEMMs run on one BLAS thread (``_one_blas_thread``).
+matrix is built. Each tap after the first is one ``dgemm`` of the OpenBLAS
+bundled in numpy's wheels, called with beta = 1, so it adds its product
+straight into the output grid and no per-tap product is stored
+(``_add_taps``; with any other BLAS numpy adds them). The graph keeps only
+the padded buffer. The kernel gradient is one GEMM per tap against the same
+views, and the input gradient is the same tap-GEMM correlation of the output
+gradient with flipped kernels (the transposed-convolution identity). Strides
+keep every s-th position of the stride-1 result. These GEMMs run on one BLAS
+thread (``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -240,19 +244,32 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _result(wv @ xv + bias.values, (x, weight, bias), backward)
 
 
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled in numpy's
-    wheels, or None where numpy links some other BLAS."""
+def _openblas():
+    """The OpenBLAS bundled in numpy's wheels, as ((get, set) of its thread
+    count, its ILP64 ``cblas_dgemm``), or (None, None) where numpy links some
+    other BLAS. numpy 2 wheels prefix every symbol with ``scipy_``."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                   "numpy.libs", "*openblas*"))
     for lib in map(ctypes.CDLL, libs):
-        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_"):
-            if hasattr(lib, name % "get"):
-                return getattr(lib, name % "get"), getattr(lib, name % "set")
-    return None
+        for prefix in ("scipy_", ""):
+            if not hasattr(lib, prefix + "openblas_get_num_threads64_"):
+                continue
+            get = getattr(lib, prefix + "openblas_get_num_threads64_")
+            set_ = getattr(lib, prefix + "openblas_set_num_threads64_")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            dgemm = getattr(lib, prefix + "cblas_dgemm64_", None)
+            if dgemm is not None:
+                i64, ptr = ctypes.c_int64, ctypes.c_void_p
+                dgemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [
+                    ctypes.c_double, ptr, i64, ptr, i64, ctypes.c_double, ptr, i64]
+                dgemm.restype = None
+            return (get, set_), dgemm
+    return None, None
 
 
-_OPENBLAS_THREADS = _openblas_threads()
+_OPENBLAS_THREADS, _DGEMM = _openblas()
+_ROW_MAJOR, _NO_TRANS = 101, 111     # CBLAS enum values
 
 
 @contextlib.contextmanager
@@ -270,6 +287,36 @@ def _one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def _add_taps(grid, taps, flat, offsets):
+    """``grid += taps[t] @ flat[:, off:off + n]`` for every tap t >= 1, where
+    off = offsets[t] and grid is [C_out, n].
+
+    Through the bundled OpenBLAS each tap is one ``dgemm`` with beta = 1,
+    which adds the product straight into ``grid``: no per-tap temporary and
+    no second pass over it. The operands are checked before any pointer
+    leaves Python, so a bad shape is a ``DimensionError``, never an
+    out-of-bounds read."""
+    c_out, n = grid.shape
+    c = flat.shape[0]
+    if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in (grid, taps, flat)):
+        raise DimensionError("tap GEMM operands must be C-contiguous float64")
+    if taps.shape != (len(offsets), c_out, c) or min(offsets) < 0 \
+            or max(offsets) + n > flat.shape[1]:
+        raise DimensionError(
+            f"tap GEMM operands disagree: taps {taps.shape}, buffer {flat.shape}, "
+            f"grid {grid.shape}, offsets {min(offsets)}..{max(offsets)}")
+    if _DGEMM is None:
+        for tap, off in zip(taps[1:], offsets[1:]):
+            grid += tap @ flat[:, off:off + n]
+        return
+    tap_ptr, flat_ptr, grid_ptr = taps.ctypes.data, flat.ctypes.data, grid.ctypes.data
+    tap_bytes, ld = c_out * c * taps.itemsize, flat.shape[1]
+    for t in range(1, len(offsets)):
+        _DGEMM(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, c_out, n, c,
+               1.0, tap_ptr + t * tap_bytes, c, flat_ptr + offsets[t] * flat.itemsize, ld,
+               1.0, grid_ptr, n)
 
 
 @_one_blas_thread()
@@ -290,11 +337,11 @@ def _tap_gemm(weights, values, pad):
     flat[:, :dp * hp * wp].reshape(c, dp, hp, wp)[:, pd:pd + d, ph:ph + h, pw:pw + w] = values
     n = (dp - kd + 1) * hp * wp
     offsets = [(i * hp + j) * wp + l for i in range(kd) for j in range(kh) for l in range(kw)]
-    taps = weights.reshape(c_out, c, len(offsets))
-    grid = taps[:, :, 0] @ flat[:, :n]
-    part = np.empty_like(grid)
-    for t in range(1, len(offsets)):
-        grid += np.matmul(taps[:, :, t], flat[:, offsets[t]:offsets[t] + n], out=part)
+    # tap-major [taps, C_out, C], so each tap is one contiguous GEMM operand
+    taps = np.ascontiguousarray(weights.transpose(2, 3, 4, 0, 1).reshape(-1, c_out, c))
+    grid = taps[0] @ flat[:, :n]
+    if len(offsets) > 1:     # a 1x1x1 kernel has no tap to add
+        _add_taps(grid, taps, flat, offsets)
     return grid.reshape(c_out, dp - kd + 1, hp, wp), flat, offsets
 
 

@@ -120,6 +120,111 @@ class TestConv3d:
         assert get() == before
 
 
+@ad._one_blas_thread()
+def looped_tap_gemm(weights, values, pad):
+    """Reference tap GEMM: each tap's product is written by ``np.matmul`` into
+    a temporary, which is then added into the grid, tap by tap in kernel order.
+    It runs on one BLAS thread like ``_tap_gemm``: how the BLAS splits the
+    work between threads can change the bits."""
+    c, d, h, w = values.shape
+    c_out, _, kd, kh, kw = weights.shape
+    pd, ph, pw = pad
+    dp, hp, wp = d + 2 * pd, h + 2 * ph, w + 2 * pw
+    flat = np.zeros((c, dp * hp * wp + (kh - 1) * wp + kw - 1))
+    flat[:, :dp * hp * wp].reshape(c, dp, hp, wp)[:, pd:pd + d, ph:ph + h, pw:pw + w] = values
+    n = (dp - kd + 1) * hp * wp
+    offsets = [(i * hp + j) * wp + l for i in range(kd) for j in range(kh) for l in range(kw)]
+    taps = weights.reshape(c_out, c, len(offsets))
+    grid = taps[:, :, 0] @ flat[:, :n]
+    part = np.empty_like(grid)
+    for t in range(1, len(offsets)):
+        grid += np.matmul(taps[:, :, t], flat[:, offsets[t]:offsets[t] + n], out=part)
+    return grid.reshape(c_out, dp - kd + 1, hp, wp), flat, offsets
+
+
+# (C_in, D, H, W) input and (C_out, k) of the nine convs at the paper shape:
+# conv1, conv2 and the 1x1x1 projection of each of the three blocks
+PAPER_CONVS = [((3, 32, 30, 9), 8, 3), ((8, 32, 30, 9), 8, 3), ((3, 32, 30, 9), 8, 1),
+               ((8, 16, 30, 9), 16, 3), ((16, 16, 30, 9), 16, 3), ((8, 16, 30, 9), 16, 1),
+               ((16, 8, 30, 9), 32, 3), ((32, 8, 30, 9), 32, 3), ((16, 8, 30, 9), 32, 1)]
+
+
+def conv_with_grads(x, k, b, stride, pad):
+    """conv3d's output, then the input, kernel and bias gradients of a fixed
+    random projection of it."""
+    xt, kt, bt = (Tensor(v, requires_grad=True) for v in (x, k, b))
+    out = ad.conv3d(xt, kt, bt, stride=stride, padding=pad)
+    probe = Tensor(np.random.default_rng(7).standard_normal(out.shape))
+    ad.backward(ad.scalar_sum(ad.mul_elementwise(out, probe)))
+    return out.values, xt.grad, kt.grad, bt.grad
+
+
+class TestTapAccumulate:
+    """The taps accumulate into the grid inside BLAS, bit-identical to adding
+    each tap's product from a temporary."""
+
+    @pytest.mark.parametrize("in_shape,c_out,k", PAPER_CONVS)
+    def test_paper_convs_equal_looped_reference(self, in_shape, c_out, k):
+        rng = np.random.default_rng(sum(in_shape) + c_out + k)
+        p = k // 2
+        x = rng.standard_normal(in_shape)
+        kv = rng.standard_normal((c_out, in_shape[0]) + (k,) * 3)
+        got, ref = ad._tap_gemm(kv, x, (p,) * 3)[0], looped_tap_gemm(kv, x, (p,) * 3)[0]
+        np.testing.assert_array_equal(got, ref)
+        # the input gradient: flipped kernels over the output-gradient grid
+        g = rng.standard_normal((c_out,) + in_shape[1:])
+        flipped = kv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        g_pad = (k - 1 - p,) * 3
+        np.testing.assert_array_equal(ad._tap_gemm(flipped, g, g_pad)[0],
+                                      looped_tap_gemm(flipped, g, g_pad)[0])
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.tuples(*[st.integers(1, 5)] * 3),
+           st.tuples(*[st.integers(1, 3)] * 3), st.integers(1, 3), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_shapes_match_looped_reference(self, c_in, c_out, dims, kdims, stride,
+                                                 pad, seed):
+        dims = tuple(max(s, k - 2 * pad) for s, k in zip(dims, kdims))
+        rng = np.random.default_rng(seed)
+        args = (rng.standard_normal((c_in,) + dims),
+                rng.standard_normal((c_out, c_in) + kdims), rng.standard_normal(c_out))
+        got = conv_with_grads(*args, stride, pad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_tap_gemm", looped_tap_gemm)
+            ref = conv_with_grads(*args, stride, pad)
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+
+    def test_numpy_fallback_is_bit_identical(self, monkeypatch):
+        """Without the BLAS binding the taps add through numpy, to the same bits."""
+        rng = np.random.default_rng(5)
+        args = (rng.standard_normal((8, 16, 30, 9)), rng.standard_normal((16, 8, 3, 3, 3)),
+                rng.standard_normal(16))
+        blas = conv_with_grads(*args, 1, 1)
+        monkeypatch.setattr(ad, "_DGEMM", None)
+        for a, b in zip(blas, conv_with_grads(*args, 1, 1)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_bundled_openblas_has_dgemm(self):
+        if ad._OPENBLAS_THREADS is None:
+            pytest.skip("numpy links no OpenBLAS bundled in its wheel")
+        assert ad._DGEMM is not None
+
+    @pytest.mark.parametrize("fault", ["short", "float32", "strided"])
+    def test_bad_operands_are_dimension_errors(self, fault):
+        """Operands are checked before any pointer reaches BLAS."""
+        c, c_out, n, offsets = 2, 3, 10, [0, 1, 4]
+        grid, taps = np.zeros((c_out, n)), np.ones((len(offsets), c_out, c))
+        flat = np.ones((c, offsets[-1] + n - (fault == "short")))
+        if fault == "float32":
+            taps = taps.astype(np.float32)
+        if fault == "strided":
+            flat = np.ones((c, 2 * flat.shape[1]))[:, ::2]
+        with pytest.raises(DimensionError):
+            ad._add_taps(grid, taps, flat, offsets)
+        assert not grid.any()
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]))
