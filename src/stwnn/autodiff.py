@@ -3,7 +3,7 @@
 A Tensor wraps a C-contiguous numpy array plus an optional gradient buffer.
 Operations build an implicit graph through parent references and per-node
 backward closures; ``backward`` walks the graph once in reverse topological
-order. Gradients accumulate across calls until ``grad`` is reset to None.
+order and stores gradients on leaves only, accumulating until reset to None.
 
 Everything runs in double precision. There is no broadcasting except the
 bias term of ``linear``/``conv3d`` and the per-vector weights of
@@ -409,9 +409,8 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor, stride=1, padding=0) -> Ten
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
-
-    Repeated calls accumulate into existing gradients.
+    """Populate ``grad`` on every requires_grad leaf (a parameter or input, not
+    an op result) reachable from ``loss``; calls accumulate into existing grads.
     """
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -437,9 +436,9 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:

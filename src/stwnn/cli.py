@@ -2,9 +2,11 @@
 
 Every setting is one row of ``SETTINGS``: its config key, its flag, the cast
 applied to flag and file text, and its default. Each subcommand reads the
-rows of its key groups: synth ``synth.*``, segment ``segment.*``, shift the
-``segment.*`` rows but ``--out`` (it has its own), train ``train.*`` and
-``net.*``, eval none. Settings resolve as flags > config file > defaults,
+rows of its key groups: synth ``synth.*``, segment ``segment.*``, train
+``train.*`` and ``net.*``, eval and shift none: segment writes the
+segmentation into the volumes manifest, train copies it into the weights,
+eval refuses volumes cut another way and shift cuts windows as the weights
+say. Settings resolve as flags > config file > defaults,
 and each command logs one ``config <key> = <value>`` line per key it reads,
 sorted by key. The config file holds flat dotted keys, one "key = value" per
 line, "#" comments; any key of the table is accepted by every subcommand, so
@@ -25,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import csi, dataio, network, training, volumes
-from .errors import (CompatibilityError, ConfigError, CorruptionError,
-                     DimensionError, FormatError, InsufficientDataError,
-                     StwnnError, UsageError, ValidationError)
+from .errors import (CompatibilityError, ConfigError, CorruptionError, DimensionError,
+                     InsufficientDataError, StwnnError, UsageError, ValidationError)
 
 log = logging.getLogger("stwnn")
 
@@ -74,12 +75,6 @@ SETTINGS = (
     ("net.variant", "--variant", str, "stwnn"),
     ("net.seed", "--net-seed", int, 0),
 )
-
-
-def _rows(*groups, skip=()) -> tuple:
-    """The table rows whose key group is in ``groups``, minus the flags in ``skip``."""
-    return tuple(row for row in SETTINGS
-                 if row[0].partition(".")[0] in groups and row[1] not in skip)
 
 
 def _group(settings: dict, group: str) -> dict:
@@ -132,10 +127,6 @@ def _settings(args) -> dict:
     return settings
 
 
-def _stream_name(split: str, class_id: int, index: int) -> str:
-    return f"{split}_c{class_id}_{index:04d}.csi1"
-
-
 def _cmd_synth(args, settings: dict) -> int:
     s = _group(settings, "synth")
     n_classes = s["classes"]
@@ -164,35 +155,27 @@ def _cmd_synth(args, settings: dict) -> int:
                 stream = csi.synth_stream(spec, n_tx, n_rx, n_sub, s["rate"])
                 # made only once a stream exists, so a bad spec leaves no directory
                 out_dir.mkdir(parents=True, exist_ok=True)
-                name = _stream_name(split, class_id, k)
+                name = f"{split}_c{class_id}_{k:04d}.csi1"
                 dataio.save_stream(out_dir / name, stream)
                 entries.append(dataio.ManifestEntry(path=name, label=class_id, split=split))
-    manifest = dataio.DatasetManifest(
-        entries=entries, n_classes=n_classes, n_tx=n_tx, n_rx=n_rx, n_sub=n_sub,
-        sample_rate_hz=s["rate"])
-    dataio.write_manifest(out_dir / "manifest.tsv", manifest)
+    dataio.write_manifest(out_dir / "manifest.tsv",
+                          dataio.DatasetManifest(entries=entries, n_classes=n_classes))
     print(f"wrote {len(entries)} streams and manifest.tsv to {out_dir}")
     return EXIT_OK
 
 
-def _seg_config(s: dict) -> volumes.SegmentationConfig:
-    return volumes.SegmentationConfig(window=s["window"], overlap=s["overlap"],
-                                      scales=s["scales"], target_shape=s["target"])
-
-
 def _cmd_segment(args, settings: dict) -> int:
     s = _group(settings, "segment")
-    cfg = _seg_config(s)
+    cfg = volumes.SegmentationConfig(window=s["window"], overlap=s["overlap"],
+                                     scales=s["scales"], target_shape=s["target"])
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    entries = []
-    failures = 0
+    entries, failures = [], 0
     for e in manifest.entries:
-        stream = dataio.load_stream(manifest_path.parent / e.path)
-        signal = csi.amplitude(stream)
+        signal = csi.amplitude(dataio.load_stream(manifest_path.parent / e.path))
         try:
             vols = volumes.stream_volumes(signal, cfg, label=e.label)
         except InsufficientDataError as exc:
@@ -202,11 +185,11 @@ def _cmd_segment(args, settings: dict) -> int:
         name = Path(e.path).stem + ".vol1"
         dataio.save_volumes(out_dir / name, vols)
         entries.append(dataio.ManifestEntry(path=name, label=e.label, split=e.split))
-        n_segments = len(vols) // len(cfg.scales)
-        print(f"{e.path}\tsegments={n_segments}\tvolumes={len(vols)}")
+        print(f"{e.path}\tsegments={len(vols) // len(cfg.scales)}\tvolumes={len(vols)}")
     if not entries:
         raise UsageError("no stream produced any volume")
-    vol_manifest = dataio.DatasetManifest(entries=entries, n_classes=manifest.n_classes)
+    vol_manifest = dataio.DatasetManifest(entries=entries, n_classes=manifest.n_classes,
+                                          segmentation=cfg)
     dataio.write_manifest(out_dir / "manifest.tsv", vol_manifest)
     if failures:
         log.warning("%d streams skipped", failures)
@@ -214,13 +197,15 @@ def _cmd_segment(args, settings: dict) -> int:
 
 
 def _load_samples(manifest_path: Path, split: str):
-    """(sample array, label) pairs for one split of a volumes manifest, its class
-    count and its scales. Every segment of a file holds the same distinct
-    scales, and every file of the split the same scales. A volume stored
-    with a label must carry its manifest entry's label."""
+    """(sample array, label) pairs for one split of a volumes manifest, and the
+    manifest. Every segment of a file holds the same distinct scales, those
+    the manifest's segmentation declares. A volume stored with a label must
+    carry its manifest entry's label."""
     manifest = dataio.load_manifest(manifest_path)
+    seg = manifest.segmentation
+    if seg is None:
+        raise ValidationError(f"{manifest_path} has no @segmentation line; re-run stwnn segment")
     dataset = []
-    split_scales = None
     for e in manifest.split(split):
         path = manifest_path.parent / e.path
         file_scales = None
@@ -237,11 +222,10 @@ def _load_samples(manifest_path: Path, split: str):
                         f"{path}: segment {v.source_segment} is stored with label "
                         f"{v.label}, the manifest gives {e.label}")
             dataset.append((volumes.stack_channels(group), e.label))
-        if file_scales is not None and split_scales not in (None, file_scales):
-            raise ValidationError(
-                f"{e.path}: scales {file_scales} differ from {split_scales} of earlier files")
-        split_scales = split_scales or file_scales
-    return dataset, manifest.n_classes, split_scales
+        if file_scales not in (None, seg.scales):
+            raise ValidationError(f"{e.path}: scales {file_scales} differ from the manifest's "
+                                  f"{seg.scales}")
+    return dataset, manifest
 
 
 def _cmd_train(args, settings: dict) -> int:
@@ -250,27 +234,25 @@ def _cmd_train(args, settings: dict) -> int:
                                mix=t["lambda"], lr=t["lr"], momentum=t["momentum"],
                                seed=t["seed"])
     manifest_path = Path(args.manifest)
-    train_set, n_classes, scales = _load_samples(manifest_path, "train")
+    train_set, manifest = _load_samples(manifest_path, "train")
     if not train_set:
         raise UsageError("train split has no samples")
-    val_set, _, val_scales = _load_samples(manifest_path, "val")
-    if val_scales not in (None, scales):
-        raise ValidationError(f"val split has scales {val_scales}, train split {scales}")
+    val_set, _ = _load_samples(manifest_path, "val")
     if not val_set:
         val_set = train_set
         log.info("no val split found; validating on the train split")
 
     model = network.build_model(network.NetworkConfig(
-        n_classes=n_classes, in_channels=len(scales), block_channels=n["blocks"],
-        kernel=n["kernel"], feature_dim=n["feature_dim"], score_fn=n["score_fn"],
-        variant=n["variant"], seed=n["seed"]))
+        n_classes=manifest.n_classes, in_channels=len(manifest.segmentation.scales),
+        block_channels=n["blocks"], kernel=n["kernel"], feature_dim=n["feature_dim"],
+        score_fn=n["score_fn"], variant=n["variant"], seed=n["seed"]))
     model, history = training.train(model, train_set, val_set, cfg)
     for stats in history:
         print(f"epoch {stats.epoch}\tloss {stats.train_loss:.6f}\tval_oa {stats.val_accuracy:.4f}")
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_weights(out_path, model)
+    dataio.save_weights(out_path, model, manifest.segmentation)
     history_path = out_path.with_suffix(".history.tsv")
     with open(history_path, "w", encoding="utf-8") as f:
         f.write("epoch\ttrain_loss\tval_oa\n")
@@ -302,11 +284,15 @@ def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Pat
 
 def _cmd_eval(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
-    test_set, n_classes, _ = _load_samples(manifest_path, "test")
-    model = dataio.load_weights(args.weights)
-    if model.config.n_classes != n_classes:
-        raise CompatibilityError(
-            f"weights expect {model.config.n_classes} classes, manifest has {n_classes}")
+    test_set, manifest = _load_samples(manifest_path, "test")
+    model, trained = dataio.load_weights(args.weights)
+    cut = manifest.segmentation  # its overlap only sets how many windows there are
+    for name, have, want in (("n_classes", manifest.n_classes, model.config.n_classes),
+                             ("window", cut.window, trained.window),
+                             ("scales", cut.scales, trained.scales),
+                             ("target_shape", cut.target_shape, trained.target_shape)):
+        if have != want:
+            raise CompatibilityError(f"the volumes manifest has {name} {have}, the weights {want}")
     metrics = training.evaluate(model, test_set)
     report = Path(args.report) if args.report else Path(args.weights).with_suffix(".report.txt")
     table = Path(args.metrics) if args.metrics else Path(args.weights).with_suffix(".metrics.tsv")
@@ -317,10 +303,9 @@ def _cmd_eval(args, settings: dict) -> int:
 
 
 def _cmd_shift(args, settings: dict) -> int:
-    cfg = _seg_config(_group(settings, "segment"))
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
-    model = dataio.load_weights(args.weights)
+    model, cfg = dataio.load_weights(args.weights)
 
     rows = []
     for e in manifest.split("test"):
@@ -344,7 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stwnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, rows=()):
+    def command(name, func, help_text, *groups):
+        """A subcommand that reads the table rows of the key ``groups``."""
+        rows = tuple(row for row in SETTINGS if row[0].partition(".")[0] in groups)
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file with flat dotted keys")
         for key, flag, cast, default in rows:
@@ -353,14 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, rows=rows)
         return p
 
-    command("synth", _cmd_synth, "generate a labeled synthetic CSI dataset", _rows("synth"))
-
-    p = command("segment", _cmd_segment, "cut streams into multi-scale volumes",
-                _rows("segment"))
+    command("synth", _cmd_synth, "generate a labeled synthetic CSI dataset", "synth")
+    p = command("segment", _cmd_segment, "cut streams into multi-scale volumes", "segment")
     p.add_argument("--manifest", required=True)
 
-    p = command("train", _cmd_train, "train a model on segmented volumes",
-                _rows("train", "net"))
+    p = command("train", _cmd_train, "train a model on segmented volumes", "train", "net")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="weight archive path")
 
@@ -370,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--metrics")
 
-    p = command("shift", _cmd_shift, "prediction agreement under window shifts",
-                _rows("segment", skip=("--out",)))
+    p = command("shift", _cmd_shift,
+                "prediction agreement under window shifts, cut as the weights were trained")
     p.add_argument("--manifest", required=True, help="streams manifest")
     p.add_argument("--weights", required=True)
     p.add_argument("--max-shift", type=int, default=2)
@@ -389,9 +373,8 @@ def _setup_logging():
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -399,7 +382,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except (FormatError, CorruptionError, StwnnError, OSError) as exc:
+    except (StwnnError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_RUNTIME
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class CsiStream:
 
     h: np.ndarray
     sample_rate_hz: float
-    label: Optional[int] = None
 
     def __post_init__(self):
         h = np.array(self.h, dtype=np.complex128)
@@ -160,7 +158,7 @@ def synth_stream(spec: ActivitySpec, n_tx: int, n_rx: int, n_sub: int,
         h += (spec.noise_std / math.sqrt(2.0)) * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    return CsiStream(h=h, sample_rate_hz=sample_rate_hz, label=spec.class_id)
+    return CsiStream(h=h, sample_rate_hz=sample_rate_hz)
 
 
 def amplitude(stream: CsiStream) -> np.ndarray:

@@ -15,21 +15,24 @@ VOL1  volume set
     label i32 (-1 means unlabeled), then d_sub*d_time*d_ant f64 row-major
 
 WGT1  weight archive, the single source of a saved model
-    magic "WGT1", format_version u32 (exactly 1)
+    magic "WGT1", format_version u32 (exactly 2; version 1 has no segmentation)
     config echo: n_classes u32, in_channels u32, block count u32 then
     channel u32 each, kernel u32 x3, feature vector count u32 (always the
     block count, checked on read), feature_dim u32, score_fn u8, variant u8,
     seed i64; an echo the network config rejects, or whose parameters need
     more bytes than the file has left, is a corrupt archive
+    segmentation echo (how the training volumes were cut): window u32, overlap
+    u32, scale count u32 (= in_channels), scale u32 each, target u32 x3
     tensor count u32, then per tensor: name length u16 + utf-8 name,
     ndim u8, dims u32 each, f64 values row-major; the names are unique and
     are exactly the model's parameter names
     ``load_weights`` reads it in one pass: it checks the header, builds the
     model from the echo and fills each parameter by name.
 
-Manifests are UTF-8 text: "#" starts a comment, "@key<TAB>value..." lines
-carry dataset-level fields (n_classes, shape, sample_rate_hz), and entry
-lines are "path<TAB>label<TAB>split" with split in {train, val, test}.
+Manifests are UTF-8 text: "#" starts a comment, entry lines are
+"path<TAB>label<TAB>split" with split in {train, val, test}, and directives
+(each once) are "@n_classes<TAB>n" and, in a volumes manifest,
+"@segmentation<TAB>window<TAB>overlap<TAB>scales<TAB>target" (comma lists).
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ from typing import Optional
 import numpy as np
 
 from .csi import CsiStream
-from .errors import ConfigError, CorruptionError, FormatError, ValidationError
+from .errors import ConfigError, CorruptionError, FormatError, UsageError, ValidationError
 from .network import (SCORE_FNS, VARIANTS, Model, NetworkConfig, build_model,
                       parameter_count)
-from .volumes import Volume3D
+from .volumes import SegmentationConfig, Volume3D
 
 _SPLITS = ("train", "val", "test")
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -150,18 +153,11 @@ def load_volumes(path) -> list:
 # weight archives
 # ---------------------------------------------------------------------------
 
-_SCORE_CODE = {name: i for i, name in enumerate(SCORE_FNS)}
-_VARIANT_CODE = {name: i for i, name in enumerate(VARIANTS)}
-
-
 def _pack_config(cfg: NetworkConfig) -> bytes:
-    parts = [struct.pack("<III", cfg.n_classes, cfg.in_channels, len(cfg.block_channels))]
-    parts.append(struct.pack(f"<{len(cfg.block_channels)}I", *cfg.block_channels))
-    parts.append(struct.pack("<III", *cfg.kernel))
-    parts.append(struct.pack("<II", len(cfg.block_channels), cfg.feature_dim))
-    parts.append(struct.pack("<BBq", _SCORE_CODE[cfg.score_fn],
-                             _VARIANT_CODE[cfg.variant], cfg.seed))
-    return b"".join(parts)
+    n = len(cfg.block_channels)
+    return struct.pack(f"<3I{n}I3I2IBBq", cfg.n_classes, cfg.in_channels, n,
+                       *cfg.block_channels, *cfg.kernel, n, cfg.feature_dim,
+                       SCORE_FNS.index(cfg.score_fn), VARIANTS.index(cfg.variant), cfg.seed)
 
 
 def _unpack_config(f) -> NetworkConfig:
@@ -185,12 +181,32 @@ def _unpack_config(f) -> NetworkConfig:
         raise CorruptionError(f"config echo: {exc}") from exc
 
 
-def save_weights(path, model: Model) -> None:
+def _unpack_segmentation(f, in_channels: int) -> SegmentationConfig:
+    window, overlap, n_scales = _read_struct(f, "<III", "segmentation header")
+    if n_scales != in_channels:
+        raise CorruptionError(f"segmentation echo has {n_scales} scales, the config echo "
+                              f"{in_channels} input channels")
+    values = _read_struct(f, f"<{n_scales + 3}I", "scales and target shape")
+    try:
+        return SegmentationConfig(window=window, overlap=overlap, scales=values[:-3],
+                                  target_shape=values[-3:])
+    except ConfigError as exc:
+        raise CorruptionError(f"segmentation echo: {exc}") from exc
+
+
+def save_weights(path, model: Model, seg: SegmentationConfig) -> None:
+    """Write ``model`` and the segmentation its training volumes were cut with
+    (one scale per input channel)."""
+    if len(seg.scales) != model.config.in_channels:
+        raise UsageError(f"segmentation has {len(seg.scales)} scales, the model takes "
+                         f"{model.config.in_channels} input channels")
     params = model.parameters()
     with open(path, "wb") as f:
         f.write(b"WGT1")
         f.write(struct.pack("<I", WEIGHTS_VERSION))
         f.write(_pack_config(model.config))
+        f.write(struct.pack(f"<3I{len(seg.scales)}I3I", seg.window, seg.overlap,
+                            len(seg.scales), *seg.scales, *seg.target_shape))
         f.write(struct.pack("<I", len(params)))
         for name, tensor in params.items():
             encoded = name.encode("utf-8")
@@ -201,19 +217,22 @@ def save_weights(path, model: Model) -> None:
             f.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
 
 
-def load_weights(path) -> Model:
-    """Build the model an archive's config echo describes and fill its parameters."""
+def load_weights(path) -> tuple:
+    """(model, segmentation): build the model an archive's config echo
+    describes, fill its parameters and read the segmentation it was trained on."""
     with open(path, "rb") as f:
         _expect_magic(f, b"WGT1")
         (version,) = _read_struct(f, "<I", "format version")
         if version != WEIGHTS_VERSION:
-            raise FormatError(f"unsupported weight format version {version}")
+            hint = " (it stores no segmentation; retrain the model)" if version == 1 else ""
+            raise FormatError(f"unsupported weight format version {version}{hint}")
         cfg = _unpack_config(f)
         # the echo's size is checked against the file before the model is allocated
         n_values, left = parameter_count(cfg), os.fstat(f.fileno()).st_size - f.tell()
         if 8 * n_values > left:
             raise CorruptionError(
                 f"config echo declares {n_values} parameters, only {left} bytes left")
+        segmentation = _unpack_segmentation(f, cfg.in_channels)
         model = build_model(cfg)
         params = model.parameters()
         (count,) = _read_struct(f, "<I", "tensor count")
@@ -239,7 +258,7 @@ def load_weights(path) -> Model:
                     f"{target.values.shape}")
             target.values = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
         _expect_eof(f)
-    return model
+    return model, segmentation
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +276,27 @@ class ManifestEntry:
 class DatasetManifest:
     entries: list
     n_classes: int
-    n_tx: Optional[int] = None
-    n_rx: Optional[int] = None
-    n_sub: Optional[int] = None
-    sample_rate_hz: Optional[float] = None
+    segmentation: Optional[SegmentationConfig] = None  # declared by volumes manifests
 
     def split(self, name: str) -> list:
         return [e for e in self.entries if e.split == name]
 
 
-def load_manifest(path) -> DatasetManifest:
-    entries = []
-    declared_classes = None
-    shape = (None, None, None)
-    sample_rate = None
-    seen_paths = set()
+def _parse_directive(key: str, values: list):
+    """A directive's value; a wrong field count is a ValueError."""
+    if key == "n_classes":
+        (n_classes,) = values
+        return int(n_classes)
+    if key != "segmentation":
+        raise ValueError(f"unknown directive @{key}")
+    window, overlap, scales, target = values
+    return SegmentationConfig(window=int(window), overlap=int(overlap),
+                              scales=tuple(int(v) for v in scales.split(",")),
+                              target_shape=tuple(int(v) for v in target.split(",")))
 
+
+def load_manifest(path) -> DatasetManifest:
+    entries, directives, seen_at = [], {}, {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -283,19 +307,16 @@ def load_manifest(path) -> DatasetManifest:
         if not line:
             continue
         fields = line.split("\t")
+        # a path or a directive may appear once
+        if fields[0] in seen_at:
+            raise ValidationError(f"line {lineno}: {fields[0]!r} repeats line "
+                                  f"{seen_at[fields[0]]}")
+        seen_at[fields[0]] = lineno
         if fields[0].startswith("@"):
-            key = fields[0][1:]
             try:
-                if key == "n_classes":
-                    declared_classes = int(fields[1])
-                elif key == "shape":
-                    shape = (int(fields[1]), int(fields[2]), int(fields[3]))
-                elif key == "sample_rate_hz":
-                    sample_rate = float(fields[1])
-                else:
-                    raise ValidationError(f"line {lineno}: unknown directive @{key}")
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"line {lineno}: bad directive {line!r}") from exc
+                directives[fields[0][1:]] = _parse_directive(fields[0][1:], fields[1:])
+            except (ValueError, ConfigError) as exc:
+                raise ValidationError(f"line {lineno}: bad directive {line!r}: {exc}") from exc
             continue
         if len(fields) != 3:
             raise ValidationError(
@@ -310,15 +331,11 @@ def load_manifest(path) -> DatasetManifest:
         if split not in _SPLITS:
             raise ValidationError(
                 f"line {lineno}: split must be one of {_SPLITS}, got {split!r}")
-        if file_path in seen_paths:
-            raise ValidationError(f"line {lineno}: duplicate path {file_path!r}")
-        seen_paths.add(file_path)
         entries.append(ManifestEntry(path=file_path, label=label, split=split))
 
     if not entries:
         raise ValidationError(f"manifest {path} has no entries")
-    n_classes = declared_classes if declared_classes is not None \
-        else max(e.label for e in entries) + 1
+    n_classes = directives.get("n_classes", max(e.label for e in entries) + 1)
     for e in entries:
         if e.label >= n_classes:
             raise ValidationError(
@@ -327,16 +344,16 @@ def load_manifest(path) -> DatasetManifest:
         if not any(e.split == split_name for e in entries):
             raise ValidationError(f"manifest needs at least one {split_name} entry")
     return DatasetManifest(entries=entries, n_classes=n_classes,
-                           n_tx=shape[0], n_rx=shape[1], n_sub=shape[2],
-                           sample_rate_hz=sample_rate)
+                           segmentation=directives.get("segmentation"))
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"@n_classes\t{manifest.n_classes}\n")
-        if None not in (manifest.n_tx, manifest.n_rx, manifest.n_sub):
-            f.write(f"@shape\t{manifest.n_tx}\t{manifest.n_rx}\t{manifest.n_sub}\n")
-        if manifest.sample_rate_hz is not None:
-            f.write(f"@sample_rate_hz\t{manifest.sample_rate_hz}\n")
+        seg = manifest.segmentation
+        if seg is not None:
+            f.write(f"@segmentation\t{seg.window}\t{seg.overlap}\t"
+                    f"{','.join(map(str, seg.scales))}\t"
+                    f"{','.join(map(str, seg.target_shape))}\n")
         for e in manifest.entries:
             f.write(f"{e.path}\t{e.label}\t{e.split}\n")

@@ -49,6 +49,8 @@ class SegmentationConfig:
         target = tuple(int(d) for d in self.target_shape)
         if len(target) != 3 or min(target) < 1:
             raise ConfigError(f"target_shape must be three positive ints, got {target}")
+        if max(self.window, *target) >= 2**32:  # WGT1 stores them and the scales as u32
+            raise ConfigError(f"window {self.window} and target {target} must be < 2**32")
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "target_shape", target)
 

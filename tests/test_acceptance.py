@@ -297,6 +297,7 @@ SEG_CFG = vol.SegmentationConfig(window=32, overlap=15, scales=(1, 2, 4),
 
 
 def _doppler_streams(n_per_class, seed_base):
+    """(stream, class) pairs."""
     streams = []
     for c in range(3):
         for k in range(n_per_class):
@@ -304,17 +305,17 @@ def _doppler_streams(n_per_class, seed_base):
                 c, n_ant=9, duration_s=1.0, noise_std=0.1,
                 doppler_base_hz=4.0, doppler_step_hz=8.0,
                 seed=seed_base + 1000 * c + k)
-            streams.append(csi.synth_stream(spec, 3, 3, 30, 100.0))
+            streams.append((csi.synth_stream(spec, 3, 3, 30, 100.0), c))
     return streams
 
 
 def _streams_to_samples(streams):
     data = []
-    for stream in streams:
+    for stream, label in streams:
         signal = csi.amplitude(stream)
         for group in vol.group_by_segment(
-                vol.stream_volumes(signal, SEG_CFG, label=stream.label)):
-            data.append((vol.stack_channels(group), stream.label))
+                vol.stream_volumes(signal, SEG_CFG, label=label)):
+            data.append((vol.stack_channels(group), label))
     return data
 
 
@@ -332,7 +333,8 @@ def doppler_experiment():
     model, history = tr.train(model, train_set, val_set, cfg)
     metrics = tr.evaluate(model, test_set)
     return dict(model=model, metrics=metrics, history=history, epochs=cfg.epochs,
-                test_streams=test_streams, elapsed=time.time() - start)
+                test_streams=[stream for stream, _ in test_streams],
+                elapsed=time.time() - start)
 
 
 def test_c06_synthetic_classification(doppler_experiment):
@@ -443,6 +445,7 @@ def test_c09_persistence(tmp_path):
         if not same:
             failures.append(f"volumes {i}")
 
+    seg_rng = np.random.default_rng(209)  # apart from rng: the configs do not depend on it
     for i in range(33):  # weight archives
         cfg = net.NetworkConfig(
             n_classes=int(rng.integers(2, 5)), in_channels=int(rng.integers(1, 4)),
@@ -452,12 +455,18 @@ def test_c09_persistence(tmp_path):
         model = net.build_model(cfg)
         for p in model.parameters().values():
             p.values = p.values + 1.0  # away from the seeded init, so loading must restore
+        window = int(seg_rng.integers(3, 64))
+        seg = vol.SegmentationConfig(
+            window=window, overlap=int(seg_rng.integers(0, window)),
+            scales=tuple(sorted(int(s) for s in seg_rng.choice(
+                np.arange(1, window + 1), size=cfg.in_channels, replace=False))),
+            target_shape=tuple(int(v) for v in seg_rng.integers(1, 50, size=3)))
         path = tmp_path / f"m{i}.wgt1"
-        dataio.save_weights(path, model)
-        loaded = dataio.load_weights(path)
-        same = all(np.array_equal(a.values, b.values)
-                   for a, b in zip(model.parameters().values(),
-                                   loaded.parameters().values()))
+        dataio.save_weights(path, model, seg)
+        loaded, loaded_seg = dataio.load_weights(path)
+        same = loaded_seg == seg and loaded.config == cfg and all(
+            np.array_equal(a.values, b.values)
+            for a, b in zip(model.parameters().values(), loaded.parameters().values()))
         if not same:
             failures.append(f"weights {i}")
 

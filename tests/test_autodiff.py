@@ -363,6 +363,14 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_grads_stored_on_leaves_only(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        hidden = ad.relu(ad.mul_const(x, 3.0))
+        loss = ad.scalar_sum(hidden)
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 0.0])
+        assert hidden.grad is None and loss.grad is None
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(UsageError):

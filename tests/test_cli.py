@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stwnn import cli, dataio
-from stwnn.volumes import Volume3D
+from stwnn.volumes import SegmentationConfig, Volume3D
 
 
 def run(*argv):
@@ -58,8 +58,6 @@ class TestSynth:
         out = tmp_path / "d"
         assert synth_small(out) == 0
         manifest = dataio.load_manifest(out / "manifest.tsv")
-        assert (manifest.n_tx, manifest.n_rx, manifest.n_sub) == (3, 3, 30)
-        assert manifest.sample_rate_hz == 100.0
         stream = dataio.load_stream(out / manifest.entries[0].path)
         assert stream.h.shape == (80, 3, 3, 30)
         assert stream.sample_rate_hz == 100.0
@@ -158,8 +156,7 @@ class TestTrainEvalShift:
         weights = small_pipeline["weights"]
         out = small_pipeline["root"] / "shift.tsv"
         assert run("shift", "--manifest", str(data / "manifest.tsv"), "--weights",
-                   str(weights), "--max-shift", "0", "--window", "32", "--overlap", "8",
-                   "--scales", "1,2", "--target", "12,16,9", "--out", str(out)) == 0
+                   str(weights), "--max-shift", "0", "--out", str(out)) == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert rows
         assert all(float(r.split("\t")[1]) == 1.0 for r in rows)
@@ -228,10 +225,11 @@ class TestTrainEvalShift:
         assert not weights.exists()
 
     @staticmethod
-    def volume_files(root, scale_rows, splits, label=0):
+    def volume_files(root, scale_rows, splits, label=0, scales=(1,)):
         """One VOL1 file per entry of ``scale_rows`` (a list of per-segment scale
-        tuples) in the given splits, a well-formed test file, and their manifest;
-        every entry is class 0 and every volume is stored with ``label``."""
+        tuples) in the given splits, a well-formed test file, and their manifest,
+        which declares ``scales``; every entry is class 0 and every volume is
+        stored with ``label``."""
         rng = np.random.default_rng(60)
         root.mkdir()
         entries = []
@@ -241,8 +239,9 @@ class TestTrainEvalShift:
                          source_segment=segment, label=label)
                 for segment, scales in enumerate(rows) for scale in scales])
             entries.append(dataio.ManifestEntry(f"f{i}.vol1", 0, split))
-        dataio.write_manifest(root / "manifest.tsv",
-                              dataio.DatasetManifest(entries=entries, n_classes=2))
+        seg = SegmentationConfig(window=16, overlap=0, scales=scales, target_shape=(12, 16, 9))
+        dataio.write_manifest(root / "manifest.tsv", dataio.DatasetManifest(
+            entries=entries, n_classes=2, segmentation=seg))
         return root / "manifest.tsv"
 
     @pytest.mark.parametrize("rows", [[(1, 1), (1, 1)], [(1, 2), (1, 4)], [(1,), (1, 2)]])
@@ -254,10 +253,11 @@ class TestTrainEvalShift:
 
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_files_with_other_scales_are_not_mixed(self, tmp_path, split, capsys):
-        manifest = self.volume_files(tmp_path / "v", [[(1, 2)], [(1, 4)]], ["train", split])
+        manifest = self.volume_files(tmp_path / "v", [[(1, 2)], [(1, 4)]], ["train", split],
+                                     scales=(1, 2))
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 2
-        assert "(1, 4)" in capsys.readouterr().err
+        assert "f1.vol1: scales (1, 4) differ from the manifest's (1, 2)" in capsys.readouterr().err
 
     def test_stored_label_must_match_manifest(self, tmp_path, capsys):
         manifest = self.volume_files(tmp_path / "v", [[(1,), (1,)]], ["train"], label=1)
@@ -305,6 +305,90 @@ class TestTrainEvalShift:
         _, lib_history = training.train(model, train_set, val_set or train_set, cfg)
         lib_losses = [h.train_loss for h in lib_history]
         np.testing.assert_allclose(cli_losses, lib_losses, rtol=1e-9)
+
+
+class TestSegmentationChosenOnce:
+    """segment declares the segmentation, train copies it into the weights,
+    eval refuses volumes cut another way and shift cuts windows as it says."""
+
+    DECLARED = SegmentationConfig(window=32, overlap=8, scales=(1, 2), target_shape=(12, 16, 9))
+
+    def resegment(self, small_pipeline, tmp_path, *flags):
+        """The pipeline's streams cut as the pipeline did, but for ``flags``."""
+        vols = tmp_path / "recut"
+        cut = {"--window": "32", "--overlap": "8", "--scales": "1,2", "--target": "12,16,9",
+               **dict(zip(flags[::2], flags[1::2]))}
+        assert run("segment", "--manifest", str(small_pipeline["data"] / "manifest.tsv"),
+                   "--out", str(vols), *(x for kv in cut.items() for x in kv)) == 0
+        return vols / "manifest.tsv"
+
+    def test_segment_declares_and_train_copies(self, small_pipeline):
+        manifest = dataio.load_manifest(small_pipeline["vols"] / "manifest.tsv")
+        assert manifest.segmentation == self.DECLARED
+        model, seg = dataio.load_weights(small_pipeline["weights"])
+        assert seg == self.DECLARED and model.config.in_channels == 2
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--scales", "1,4", ["scales (1, 4)", "the weights (1, 2)"]),
+        ("--target", "12,8,9", ["target_shape (12, 8, 9)", "the weights (12, 16, 9)"]),
+        ("--window", "24", ["window 24", "the weights 32"]),
+    ])
+    def test_eval_on_another_cut_is_usage_error(self, small_pipeline, tmp_path, capsys,
+                                                flag, value, named):
+        manifest = self.resegment(small_pipeline, tmp_path, flag, value)
+        capsys.readouterr()
+        assert run("eval", "--manifest", str(manifest),
+                   "--weights", str(small_pipeline["weights"])) == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in named), err
+
+    def test_eval_on_another_overlap_runs(self, small_pipeline, tmp_path):
+        manifest = self.resegment(small_pipeline, tmp_path, "--overlap", "0")
+        assert run("eval", "--manifest", str(manifest), "--weights",
+                   str(small_pipeline["weights"]), "--report", str(tmp_path / "r.txt"),
+                   "--metrics", str(tmp_path / "m.tsv")) == 0
+
+    def test_manifest_without_segmentation_is_usage_error(self, small_pipeline, tmp_path,
+                                                          capsys):
+        manifest = self.resegment(small_pipeline, tmp_path)
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(l for l in lines if not l.startswith("@segmentation")))
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 2
+        assert "has no @segmentation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--scales", "1,2"), ("--window", "32"),
+                                             ("--overlap", "8"), ("--target", "12,16,9")])
+    def test_shift_takes_no_segment_flag(self, small_pipeline, flag, value):
+        assert run("shift", "--manifest", str(small_pipeline["data"] / "manifest.tsv"),
+                   "--weights", str(small_pipeline["weights"]), flag, value) == 2
+
+    def test_shift_cuts_as_the_weights_say(self, small_pipeline, tmp_path, monkeypatch):
+        from stwnn import training
+
+        seen = []
+
+        def spy(model, stream, cfg, max_shift):
+            seen.append(cfg)
+            return real(model, stream, cfg, max_shift)
+
+        real = training.shift_consistency
+        monkeypatch.setattr(training, "shift_consistency", spy)
+        assert run("shift", "--manifest", str(small_pipeline["data"] / "manifest.tsv"),
+                   "--weights", str(small_pipeline["weights"]), "--max-shift", "2",
+                   "--out", str(tmp_path / "shift.tsv")) == 0
+        assert seen and all(cfg == self.DECLARED for cfg in seen)
+
+    @pytest.mark.parametrize("command", ["eval", "shift"])
+    def test_version_one_archive_is_runtime_failure(self, small_pipeline, tmp_path,
+                                                    command, capsys):
+        weights = tmp_path / "m.wgt1"
+        data = bytearray(small_pipeline["weights"].read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        weights.write_bytes(bytes(data))
+        manifest = small_pipeline["vols" if command == "eval" else "data"] / "manifest.tsv"
+        assert run(command, "--manifest", str(manifest), "--weights", str(weights)) == 1
+        assert "version 1 (it stores no segmentation; retrain" in capsys.readouterr().err
 
 
 class TestExitCodesAndLogging:
@@ -403,7 +487,7 @@ REQUIRED = {
 COMMAND_KEYS = {
     "synth": [k for k in SETTINGS if k.startswith("synth.")],
     "segment": [k for k in SETTINGS if k.startswith("segment.")],
-    "shift": [k for k in SETTINGS if k.startswith("segment.") and k != "segment.out"],
+    "shift": [],
     "train": [k for k in SETTINGS if k.startswith(("train.", "net."))],
     "eval": [],
 }

@@ -52,9 +52,6 @@ class TestSynthStream:
         with pytest.raises(DimensionError):
             csi.synth_stream(spec, 3, 3, 8, 100.0)
 
-    def test_label_carried(self):
-        assert csi.synth_stream(simple_spec(n_ant=1, class_id=2), 1, 1, 2, 100.0).label == 2
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             simple_spec(seed=-1)
@@ -133,10 +130,9 @@ class TestStreamInvariants:
         assert stream.h.dtype == np.complex128
 
     def test_sizes_follow_the_array(self):
-        stream = csi.CsiStream(h=np.ones((5, 2, 3, 4)), sample_rate_hz=10.0, label=1)
+        stream = csi.CsiStream(h=np.ones((5, 2, 3, 4)), sample_rate_hz=10.0)
         assert (len(stream), stream.n_tx, stream.n_rx, stream.n_sub) == (5, 2, 3, 4)
-        assert stream.label == 1
-        assert [f.name for f in dataclasses.fields(stream)] == ["h", "sample_rate_hz", "label"]
+        assert [f.name for f in dataclasses.fields(stream)] == ["h", "sample_rate_hz"]
 
     def test_activity_spec_validation(self):
         with pytest.raises(ValidationError):

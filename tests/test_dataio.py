@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stwnn import csi, dataio, network as net
-from stwnn.errors import CorruptionError, FormatError, ValidationError
-from stwnn.volumes import Volume3D
+from stwnn.errors import CorruptionError, FormatError, UsageError, ValidationError
+from stwnn.volumes import SegmentationConfig, Volume3D
 
 
 def random_stream(rng, n_tx=2, n_rx=2, n_sub=4, n_frames=5):
@@ -169,11 +169,12 @@ class TestVolumeRoundTrip:
 
 class TestWeightsRoundTrip:
     CFG = dict(n_classes=3, in_channels=2, block_channels=(2, 3), feature_dim=4, seed=11)
+    SEG = SegmentationConfig(window=20, overlap=5, scales=(1, 4), target_shape=(12, 16, 9))
 
     def saved(self, tmp_path, **overrides):
         model = net.build_model(net.NetworkConfig(**{**self.CFG, **overrides}))
         path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
+        dataio.save_weights(path, model, self.SEG)
         return model, path
 
     def corrupted(self, path, offset, raw):
@@ -189,9 +190,10 @@ class TestWeightsRoundTrip:
         x = np.random.default_rng(46).standard_normal((2, 5, 6, 9))
         before = net.forward(model, x)
         path = tmp_path / "m.wgt1"
-        dataio.save_weights(path, model)
+        dataio.save_weights(path, model, self.SEG)
 
-        loaded = dataio.load_weights(path)
+        loaded, seg = dataio.load_weights(path)
+        assert seg == self.SEG
         after = net.forward(loaded, x)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
@@ -208,9 +210,47 @@ class TestWeightsRoundTrip:
         with pytest.raises(FormatError, match="version 0"):
             dataio.load_weights(path)
 
+    def test_version_one_says_retrain(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, 4, struct.pack("<I", 1))
+        with pytest.raises(FormatError, match=r"version 1 \(it stores no segmentation; retrain"):
+            dataio.load_weights(path)
+
     def test_config_echo_rebuilds_model(self, tmp_path):
         model, path = self.saved(tmp_path)
-        assert dataio.load_weights(path).config == model.config
+        assert dataio.load_weights(path)[0].config == model.config
+
+    # segmentation echo offsets after the 58-byte config echo of two blocks: window @58,
+    # overlap @62, scale count @66, the two scales @70 and @74, the target @78
+    def test_segmentation_echo_layout(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        assert struct.unpack("<8I", path.read_bytes()[58:90]) == (20, 5, 2, 1, 4, 12, 16, 9)
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (62, 20, "overlap must satisfy"),      # overlap == window
+        (74, 1, "ascending and distinct"),     # scales (1, 1)
+        (74, 21, "exceeds window"),            # scale 21 > window 20
+        (82, 0, "target_shape"),               # a zero target dim
+    ])
+    def test_rejected_segmentation_echo_is_corruption(self, tmp_path, offset, value, message):
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, offset, struct.pack("<I", value))
+        with pytest.raises(CorruptionError, match=f"segmentation echo: .*{message}"):
+            dataio.load_weights(path)
+
+    @pytest.mark.parametrize("count", [1, 3, 2**32 - 1])
+    def test_scale_count_must_be_in_channels(self, tmp_path, count):
+        _, path = self.saved(tmp_path)
+        self.corrupted(path, 66, struct.pack("<I", count))
+        with pytest.raises(CorruptionError, match=f"{count} scales, the config echo 2 input"):
+            dataio.load_weights(path)
+
+    def test_save_needs_one_scale_per_input_channel(self, tmp_path):
+        model = net.build_model(net.NetworkConfig(**self.CFG))
+        seg = SegmentationConfig(window=20, overlap=5, scales=(1,), target_shape=(12, 16, 9))
+        with pytest.raises(UsageError, match="1 scales, the model takes 2"):
+            dataio.save_weights(tmp_path / "m.wgt1", model, seg)
+        assert not (tmp_path / "m.wgt1").exists()
 
     # config echo offsets for two blocks: magic, version, n_classes @8, in_channels @12,
     # block count, two channels, three kernel dims, feature vector count @40
@@ -322,12 +362,45 @@ class TestManifest:
 
     def test_directives_parsed(self, tmp_path):
         path = self.write(tmp_path,
-                          "@n_classes\t3\n@shape\t3\t3\t30\n@sample_rate_hz\t100.0\n"
-                          "a.csi1\t0\ttrain\nb.csi1\t2\ttest\n")
+                          "@n_classes\t3\n@segmentation\t32\t8\t1,2\t12,16,9\n"
+                          "a.vol1\t0\ttrain\nb.vol1\t2\ttest\n")
         manifest = dataio.load_manifest(path)
         assert manifest.n_classes == 3
-        assert (manifest.n_tx, manifest.n_rx, manifest.n_sub) == (3, 3, 30)
-        assert manifest.sample_rate_hz == 100.0
+        assert manifest.segmentation == SegmentationConfig(
+            window=32, overlap=8, scales=(1, 2), target_shape=(12, 16, 9))
+
+    def test_streams_manifest_has_no_segmentation(self, tmp_path):
+        path = self.write(tmp_path, "@n_classes\t2\na.csi1\t0\ttrain\nb.csi1\t1\ttest\n")
+        assert dataio.load_manifest(path).segmentation is None
+
+    ENTRIES = "a.vol1\t0\ttrain\nb.vol1\t1\ttest\n"
+
+    @pytest.mark.parametrize("lines, message", [
+        # an extra field, then a repeat: once loaded as 3 classes
+        (["@n_classes\t2\t9", "@n_classes\t3"], "line 1: bad directive"),
+        # repeated: the second line names the first
+        (["@n_classes\t2", "# again", "@n_classes\t3"], "line 3: '@n_classes' repeats line 1"),
+        (["@segmentation\t32\t8\t1,2\t12,16,9", "@segmentation\t32\t8\t1,4\t12,16,9"],
+         "line 2: '@segmentation' repeats line 1"),
+        # wrong field count
+        (["@n_classes"], "line 1: bad directive .*not enough values"),
+        (["@n_classes\t2\t9"], "line 1: bad directive .*too many values"),
+        (["@segmentation\t32\t8\t1,2"], "line 1: bad directive .*not enough values"),
+        (["@segmentation\t32\t8\t1,2\t12,16,9\tx"], "line 1: bad directive .*too many"),
+        # rejected values
+        (["@n_classes\tx"], "line 1: bad directive .*invalid literal"),
+        (["@segmentation\t32\t8\t2,1\t12,16,9"], "line 1: bad directive .*ascending"),
+        (["@segmentation\t32\t32\t1,2\t12,16,9"], "line 1: bad directive .*overlap"),
+        (["@segmentation\t32\t8\t1,2\t12,16"], "line 1: bad directive .*three positive"),
+        (["@segmentation\t32\t8\t1,,2\t12,16,9"], "line 1: bad directive .*invalid literal"),
+        # the directives written before the segmentation one
+        (["@shape\t3\t3\t30"], "line 1: bad directive .*unknown directive @shape"),
+        (["@sample_rate_hz\t100.0"], "line 1: bad directive .*unknown directive"),
+    ])
+    def test_bad_or_repeated_directive(self, tmp_path, lines, message):
+        path = self.write(tmp_path, "\n".join(lines) + "\n" + self.ENTRIES)
+        with pytest.raises(ValidationError, match=message):
+            dataio.load_manifest(path)
 
     def test_needs_train_and_test(self, tmp_path):
         path = self.write(tmp_path, "a.csi1\t0\ttrain\nb.csi1\t0\tval\n")
@@ -336,12 +409,12 @@ class TestManifest:
 
     def test_write_then_load(self, tmp_path):
         manifest = dataio.DatasetManifest(
-            entries=[dataio.ManifestEntry("a.csi1", 0, "train"),
-                     dataio.ManifestEntry("b.csi1", 1, "test")],
-            n_classes=2, n_tx=3, n_rx=3, n_sub=30, sample_rate_hz=100.0)
+            entries=[dataio.ManifestEntry("a.vol1", 0, "train"),
+                     dataio.ManifestEntry("b.vol1", 1, "test")],
+            n_classes=2, segmentation=SegmentationConfig(
+                window=32, overlap=8, scales=(1, 2), target_shape=(12, 16, 9)))
         path = tmp_path / "manifest.tsv"
         dataio.write_manifest(path, manifest)
-        loaded = dataio.load_manifest(path)
-        assert loaded.entries == manifest.entries
-        assert loaded.n_classes == 2
-        assert loaded.sample_rate_hz == 100.0
+        assert path.read_text().splitlines()[:2] == ["@n_classes\t2",
+                                                     "@segmentation\t32\t8\t1,2\t12,16,9"]
+        assert dataio.load_manifest(path) == manifest
