@@ -8,8 +8,8 @@ from .csi import (ActivitySpec, CsiStream, MotionComponent, amplitude,
 from .dataio import (DatasetManifest, ManifestEntry, load_manifest, load_stream,
                      load_volumes, load_weights, save_stream, save_volumes, save_weights,
                      write_manifest)
-from .network import (AttentionParams, GateHead, Model, NetworkConfig, attention_forward,
-                      build_model, forward, parameter_count, residual_block_forward)
+from .network import (Dense, Model, NetworkConfig, attention_forward, build_model, forward,
+                      parameter_count, residual_block_forward)
 from .training import (EpochStats, Metrics, TrainConfig, combined_loss,
                        confusion_metrics, evaluate, masked_probs, one_hot,
                        predict, shift_consistency, train)

@@ -199,8 +199,8 @@ def _cmd_segment(args, settings: dict) -> int:
 def _load_samples(manifest_path: Path, split: str):
     """(sample array, label) pairs for one split of a volumes manifest, and the
     manifest. Every segment of a file holds the same distinct scales, those
-    the manifest's segmentation declares. A volume stored with a label must
-    carry its manifest entry's label."""
+    the manifest's segmentation declares, each a volume of its target shape. A
+    volume stored with a label must carry its manifest entry's label."""
     manifest = dataio.load_manifest(manifest_path)
     seg = manifest.segmentation
     if seg is None:
@@ -221,6 +221,10 @@ def _load_samples(manifest_path: Path, split: str):
                     raise ValidationError(
                         f"{path}: segment {v.source_segment} is stored with label "
                         f"{v.label}, the manifest gives {e.label}")
+                if v.data.shape != seg.target_shape:
+                    raise ValidationError(
+                        f"{path}: segment {v.source_segment} has a volume of shape "
+                        f"{v.data.shape}, the manifest's target is {seg.target_shape}")
             dataset.append((volumes.stack_channels(group), e.label))
         if file_scales not in (None, seg.scales):
             raise ValidationError(f"{e.path}: scales {file_scales} differ from the manifest's "

@@ -92,7 +92,6 @@ class MotionComponent:
 class ActivitySpec:
     """Recipe for one synthetic activity recording."""
 
-    class_id: int
     duration_s: float
     motion_components: tuple
     noise_std: float = 0.0
@@ -184,5 +183,5 @@ def doppler_activity_spec(class_id: int, *, n_ant: int, duration_s: float = 1.0,
         MotionComponent(doppler_hz=1.6 * f, delay_weight=0.4,
                         antenna_pattern=tuple(rng.uniform(0.5, 1.5, size=n_ant))),
     )
-    return ActivitySpec(class_id=class_id, duration_s=duration_s,
-                        motion_components=components, noise_std=noise_std, seed=seed)
+    return ActivitySpec(duration_s=duration_s, motion_components=components,
+                        noise_std=noise_std, seed=seed)

@@ -17,7 +17,7 @@ keep the parameter count within 10%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -81,16 +81,10 @@ class BlockParams:
 
 
 @dataclass
-class AttentionParams:
-    """Shared scoring head: score_i = score_fn(weight . feature_i + bias)."""
-
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
-class GateHead:
-    """Dense map from the attention mask to one multiplicative factor per logit."""
+class Dense:
+    """A dense head, ``linear(x, weight, bias)``: a block's tap, the shared
+    scoring head (weight (f,): score_i = score_fn(weight . feature_i + bias))
+    or the gate from the attention mask to one factor per logit."""
 
     weight: Tensor
     bias: Tensor
@@ -98,25 +92,35 @@ class GateHead:
 
 @dataclass
 class Model:
+    """``table`` maps every parameter name to its tensor, in ``_parameter_shapes``
+    order; the other fields are views of those very tensors."""
+
     config: NetworkConfig
-    blocks: list
-    tap_weights: list
-    tap_biases: list
-    attention: AttentionParams
-    clf_w: Tensor
-    clf_b: Tensor
-    gate: GateHead
-    kernel_dims: tuple = (3, 3, 3)
+    table: dict
+    blocks: list = field(init=False)
+    taps: list = field(init=False)
+    attention: Dense = field(init=False)
+    clf_w: Tensor = field(init=False)
+    clf_b: Tensor = field(init=False)
+    gate: Dense = field(init=False)
+
+    def __post_init__(self):
+        p, ids = self.table, range(len(self.config.block_channels))
+        parts = ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias",
+                 "proj.weight", "proj.bias")  # BlockParams field order; no proj -> None
+        self.blocks = [BlockParams(*(p.get(f"block{i}.{x}") for x in parts)) for i in ids]
+        self.taps = [Dense(p[f"tap{i}.weight"], p[f"tap{i}.bias"]) for i in ids]
+        self.attention = Dense(p["attention.weight"], p["attention.bias"])
+        self.clf_w, self.clf_b = p["classifier.weight"], p["classifier.bias"]
+        self.gate = Dense(p["gate.weight"], p["gate.bias"])
+
+    @property
+    def kernel_dims(self) -> tuple:
+        return _block_kernel(self.config)
 
     def parameters(self) -> dict:
-        """Named parameter tensors in a stable order."""
-        tensors = [t for blk in self.blocks for t in (blk.conv1_w, blk.conv1_b, blk.conv2_w,
-                                                      blk.conv2_b, blk.proj_w, blk.proj_b)
-                   if t is not None]
-        tensors += [t for pair in zip(self.tap_weights, self.tap_biases) for t in pair]
-        tensors += [self.attention.weight, self.attention.bias, self.clf_w, self.clf_b,
-                    self.gate.weight, self.gate.bias]
-        return dict(zip(_parameter_shapes(self.config), tensors, strict=True))
+        """A new name -> tensor dict over the table, which popping leaves whole."""
+        return dict(self.table)
 
 
 def _block_kernel(config: NetworkConfig) -> tuple:
@@ -133,7 +137,8 @@ def _block_kernel(config: NetworkConfig) -> tuple:
 
 
 def _parameter_shapes(config: NetworkConfig) -> dict:
-    """Name -> shape of every parameter, in ``Model.parameters`` order."""
+    """Name -> shape of every parameter: the one place that names them and
+    fixes their order, which ``build_model`` and ``Model.parameters`` follow."""
     kernel, f, n = _block_kernel(config), config.feature_dim, config.n_classes
     shapes, c_prev = {}, config.in_channels
     for i, c in enumerate(config.block_channels):
@@ -161,7 +166,7 @@ def parameter_count(config: NetworkConfig) -> int:
 def build_model(config: NetworkConfig) -> Model:
     """Construct a model with seeded Glorot-uniform weights and zero biases.
 
-    Weights are drawn in ``Model.parameters`` order. A weight of shape
+    Weights are drawn in ``_parameter_shapes`` order. A weight of shape
     (out, in, *kernel) has fan-in in * kernel volume and fan-out out * kernel
     volume; the attention weight (f,) counts as (1, f). The gate bias starts
     at one so the mask-modulated branch initially reproduces the plain branch.
@@ -177,17 +182,7 @@ def build_model(config: NetworkConfig) -> Model:
             limit = math.sqrt(6.0 / (fan_in * k_volume + fan_out * k_volume))
             values = rng.uniform(-limit, limit, size=shape)
         p[name] = Tensor(values, requires_grad=True)
-    parts = ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias",
-             "proj.weight", "proj.bias")  # BlockParams field order; no proj -> None
-    ids = range(len(config.block_channels))
-    return Model(config=config,
-                 blocks=[BlockParams(*(p.get(f"block{i}.{x}") for x in parts)) for i in ids],
-                 tap_weights=[p[f"tap{i}.weight"] for i in ids],
-                 tap_biases=[p[f"tap{i}.bias"] for i in ids],
-                 attention=AttentionParams(p["attention.weight"], p["attention.bias"]),
-                 clf_w=p["classifier.weight"], clf_b=p["classifier.bias"],
-                 gate=GateHead(p["gate.weight"], p["gate.bias"]),
-                 kernel_dims=_block_kernel(config))
+    return Model(config, p)
 
 
 def residual_block_forward(x: Tensor, params: BlockParams, kernel=(3, 3, 3)) -> Tensor:
@@ -217,7 +212,7 @@ def _apply_score_fn(t: Tensor, score_fn: str) -> Tensor:
     raise ConfigError(f"unknown score_fn {score_fn!r}")
 
 
-def attention_forward(features, params: AttentionParams, score_fn: str = "tanh"):
+def attention_forward(features, params: Dense, score_fn: str = "tanh"):
     """Score, softmax-normalize and convexly combine a list of feature vectors.
 
     Returns (mask tensor of length feature_dim, weight vector of length n).
@@ -241,15 +236,13 @@ def forward_graph(model: Model, x: Tensor):
     if x.shape[0] != model.config.in_channels:
         raise DimensionError(
             f"input has {x.shape[0]} channels, model expects {model.config.in_channels}")
-    taps = []
+    alphas = []
     h = x
-    for blk in model.blocks:
+    for blk, tap in zip(model.blocks, model.taps):
         h = residual_block_forward(h, blk, kernel=model.kernel_dims)
-        taps.append(ad.global_avg_pool(h))
+        alphas.append(ad.linear(ad.global_avg_pool(h), tap.weight, tap.bias))
         h = ad.temporal_subsample(h, 2)
     pooled = ad.global_avg_pool(h)
-    alphas = [ad.linear(t, w, b)
-              for t, w, b in zip(taps, model.tap_weights, model.tap_biases)]
     mask, _ = attention_forward(alphas, model.attention, model.config.score_fn)
     logits = ad.linear(pooled, model.clf_w, model.clf_b)
     return logits, mask

@@ -202,17 +202,16 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                     batch = order[start:start + cfg.batch_size]
                     parts = np.array_split(batch, min(workers, len(batch)))
                     values = [p.values for p in opt.params]
-                    # collected in full before the sum: in-process, _sample_grads
-                    # sets the grads of these very tensors
-                    results = list(run(_sample_grads, [values] * len(parts), parts,
-                                       [1.0 / len(batch)] * len(parts)))
-                    for p in opt.params:
-                        p.grad = None
-                    for loss, grads in (r for part in results for r in part):
-                        total_loss += loss * len(batch)
-                        for p, g in zip(opt.params, grads):
-                            if g is not None:
-                                p.grad = g.copy() if p.grad is None else p.grad + g
+                    summed = [None] * len(values)
+                    for part in run(_sample_grads, [values] * len(parts), parts,
+                                    [1.0 / len(batch)] * len(parts)):
+                        for loss, grads in part:
+                            total_loss += loss * len(batch)
+                            for i, g in enumerate(grads):
+                                if g is not None:
+                                    summed[i] = g if summed[i] is None else summed[i] + g
+                    for p, s in zip(opt.params, summed):
+                        p.grad = s
                     opt.step()
                 val_metrics = evaluate(model, val_set)
                 stats = EpochStats(epoch=epoch,

@@ -225,8 +225,8 @@ def test_c04_attention_invariants():
         dim = int(rng.integers(1, 9))
         score_fn = ("tanh", "relu", "linear")[case % 3]
         feats = [Tensor(rng.standard_normal(dim) * 3.0) for _ in range(n)]
-        params = net.AttentionParams(weight=Tensor(rng.standard_normal(dim)),
-                                     bias=Tensor(rng.standard_normal(1)))
+        params = net.Dense(weight=Tensor(rng.standard_normal(dim)),
+                           bias=Tensor(rng.standard_normal(1)))
         mask, weights = net.attention_forward(feats, params, score_fn)
 
         sum_worst = max(sum_worst, abs(float(weights.sum()) - 1.0))
@@ -250,7 +250,7 @@ def test_c04_attention_invariants():
         np.testing.assert_allclose(w_base, weights, atol=1e-12)
 
         if score_fn == "linear":
-            shifted_params = net.AttentionParams(
+            shifted_params = net.Dense(
                 weight=params.weight, bias=Tensor(params.bias.values + shift))
             _, w_api = net.attention_forward(feats, shifted_params, "linear")
             shift_worst = max(shift_worst, float(np.abs(w_api - weights).max()))
@@ -362,7 +362,7 @@ def test_c08_shift_consistency(doppler_experiment):
 
 def _order_half(doppler_hz, seed):
     spec = csi.ActivitySpec(
-        class_id=0, duration_s=0.16, noise_std=0.05, seed=seed,
+        duration_s=0.16, noise_std=0.05, seed=seed,
         motion_components=(csi.MotionComponent(
             doppler_hz=doppler_hz, delay_weight=1.0,
             antenna_pattern=tuple(np.random.default_rng(seed).uniform(0.5, 1.5, 9))),))

@@ -259,6 +259,17 @@ class TestTrainEvalShift:
                    "--epochs", "1") == 2
         assert "f1.vol1: scales (1, 4) differ from the manifest's (1, 2)" in capsys.readouterr().err
 
+    def test_segment_with_a_volume_off_the_target_is_named(self, tmp_path, capsys):
+        manifest = self.volume_files(tmp_path / "v", [[(1, 2)]], ["train"], scales=(1, 2))
+        rng = np.random.default_rng(61)
+        dataio.save_volumes(manifest.parent / "f0.vol1", [
+            Volume3D(data=rng.standard_normal(shape), scale=scale, source_segment=0)
+            for scale, shape in ((1, (12, 16, 9)), (2, (12, 8, 9)))])
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 2
+        assert ("f0.vol1: segment 0 has a volume of shape (12, 8, 9), the manifest's target "
+                "is (12, 16, 9)" in capsys.readouterr().err)
+
     def test_stored_label_must_match_manifest(self, tmp_path, capsys):
         manifest = self.volume_files(tmp_path / "v", [[(1,), (1,)]], ["train"], label=1)
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
@@ -356,6 +367,21 @@ class TestSegmentationChosenOnce:
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 2
         assert "has no @segmentation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_volumes_off_the_declared_target_are_usage_error(self, small_pipeline, tmp_path,
+                                                             capsys, command):
+        manifest = self.resegment(small_pipeline, tmp_path)
+        text = manifest.read_text()
+        assert "\t1,2\t12,16,9\n" in text
+        manifest.write_text(text.replace("\t1,2\t12,16,9\n", "\t1,2\t12,8,9\n"))
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "m.wgt1")] if command == "train" else [
+            "--weights", str(small_pipeline["weights"])]
+        assert run(command, "--manifest", str(manifest), *out) == 2
+        err = capsys.readouterr().err
+        assert "shape (12, 16, 9), the manifest's target is (12, 8, 9)" in err, err
+        assert not (tmp_path / "m.wgt1").exists()
 
     @pytest.mark.parametrize("flag, value", [("--scales", "1,2"), ("--window", "32"),
                                              ("--overlap", "8"), ("--target", "12,16,9")])

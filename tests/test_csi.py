@@ -10,7 +10,7 @@ from stwnn.errors import DimensionError, ValidationError
 
 
 def simple_spec(n_ant=9, **kwargs):
-    defaults = dict(class_id=0, duration_s=1.0, noise_std=0.0, seed=3,
+    defaults = dict(duration_s=1.0, noise_std=0.0, seed=3,
                     motion_components=(csi.MotionComponent(
                         doppler_hz=5.0, delay_weight=1.0, antenna_pattern=(1.0,) * n_ant),))
     defaults.update(kwargs)
@@ -136,7 +136,7 @@ class TestStreamInvariants:
 
     def test_activity_spec_validation(self):
         with pytest.raises(ValidationError):
-            csi.ActivitySpec(class_id=0, duration_s=1.0, motion_components=())
+            csi.ActivitySpec(duration_s=1.0, motion_components=())
         with pytest.raises(ValidationError):
             simple_spec(noise_std=-1.0)
         for duration in (0.0, -1.0, float("nan"), float("inf")):

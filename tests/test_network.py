@@ -49,6 +49,28 @@ class TestBuildModel:
         model = net.build_model(config)
         assert net.parameter_count(config) == sum(p.size for p in model.parameters().values())
 
+    @pytest.mark.parametrize("variant", ["stwnn", "wnn2d"])
+    def test_parameters_are_the_one_table_the_views_share(self, variant):
+        # block1 has an identity shortcut; the others a projection
+        config = net.NetworkConfig(n_classes=3, block_channels=(4, 4, 6), variant=variant)
+        model = net.build_model(config)
+        params = model.parameters()
+        assert list(params) == list(net._parameter_shapes(config))
+        views = {"attention": model.attention, "gate": model.gate,
+                 "classifier": net.Dense(model.clf_w, model.clf_b),
+                 **{f"tap{i}": tap for i, tap in enumerate(model.taps)}}
+        for i, blk in enumerate(model.blocks):
+            for part in ("conv1", "conv2", "proj"):
+                views[f"block{i}.{part}"] = net.Dense(getattr(blk, f"{part}_w"),
+                                                      getattr(blk, f"{part}_b"))
+        assert sum(t is not None for v in views.values() for t in (v.weight, v.bias)) == len(params)
+        for name, tensor in params.items():
+            head, kind = name.rsplit(".", 1)
+            assert tensor is getattr(views[head], kind), name
+        for name in list(params):
+            params.pop(name)
+        assert list(model.parameters()) == list(net._parameter_shapes(config))
+
     def test_planar_kernel_side_is_nearest_odd_square(self):
         for kernel in itertools.product(range(1, 16, 2), repeat=3):
             volume = math.prod(kernel)
@@ -142,8 +164,8 @@ class TestResidualBlock:
 
 class TestAttention:
     def test_zero_weight_gives_uniform(self):
-        params = net.AttentionParams(weight=Tensor(np.zeros(4)),
-                                     bias=Tensor(np.array([0.7])))
+        params = net.Dense(weight=Tensor(np.zeros(4)),
+                           bias=Tensor(np.array([0.7])))
         f1 = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
         f2 = Tensor(np.array([5.0, 6.0, 7.0, 8.0]))
         mask, weights = net.attention_forward([f1, f2], params, "tanh")
@@ -151,8 +173,8 @@ class TestAttention:
         np.testing.assert_allclose(mask.values, (f1.values + f2.values) / 2, atol=1e-12)
 
     def test_singleton(self):
-        params = net.AttentionParams(weight=Tensor(np.array([1.0, -1.0])),
-                                     bias=Tensor(np.array([0.3])))
+        params = net.Dense(weight=Tensor(np.array([1.0, -1.0])),
+                           bias=Tensor(np.array([0.3])))
         f = Tensor(np.array([2.0, 5.0]))
         mask, weights = net.attention_forward([f], params, "relu")
         np.testing.assert_allclose(weights, [1.0], atol=1e-15)
@@ -164,7 +186,7 @@ class TestAttention:
         feats = [rng.standard_normal(dim) for _ in range(n)]
         chi = rng.standard_normal(dim)
         b = 0.37
-        params = net.AttentionParams(weight=Tensor(chi), bias=Tensor(np.array([b])))
+        params = net.Dense(weight=Tensor(chi), bias=Tensor(np.array([b])))
         mask, weights = net.attention_forward([Tensor(f) for f in feats], params, "linear")
 
         scores = [sum(chi[k] * f[k] for k in range(dim)) + b for f in feats]
@@ -185,8 +207,8 @@ class TestAttention:
             n = int(rng.integers(1, 6))
             dim = int(rng.integers(1, 8))
             feats = [Tensor(rng.standard_normal(dim) * 3) for _ in range(n)]
-            params = net.AttentionParams(weight=Tensor(rng.standard_normal(dim)),
-                                         bias=Tensor(rng.standard_normal(1)))
+            params = net.Dense(weight=Tensor(rng.standard_normal(dim)),
+                               bias=Tensor(rng.standard_normal(1)))
             mask, weights = net.attention_forward(feats, params, score_fn)
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-9
@@ -199,16 +221,16 @@ class TestAttention:
         feats = [Tensor(rng.standard_normal(4)) for _ in range(3)]
         chi = rng.standard_normal(4)
         m0, w0 = net.attention_forward(
-            feats, net.AttentionParams(weight=Tensor(chi), bias=Tensor(np.array([0.0]))),
+            feats, net.Dense(weight=Tensor(chi), bias=Tensor(np.array([0.0]))),
             "linear")
         m1, w1 = net.attention_forward(
-            feats, net.AttentionParams(weight=Tensor(chi), bias=Tensor(np.array([5.0]))),
+            feats, net.Dense(weight=Tensor(chi), bias=Tensor(np.array([5.0]))),
             "linear")
         np.testing.assert_allclose(w0, w1, atol=1e-12)
         np.testing.assert_allclose(m0.values, m1.values, atol=1e-12)
 
     def test_empty_features_rejected(self):
-        params = net.AttentionParams(weight=Tensor(np.zeros(2)), bias=Tensor(np.zeros(1)))
+        params = net.Dense(weight=Tensor(np.zeros(2)), bias=Tensor(np.zeros(1)))
         with pytest.raises(UsageError):
             net.attention_forward([], params, "tanh")
 

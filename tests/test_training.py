@@ -356,7 +356,7 @@ class TestEvaluate:
 
 def order_stream(seed):
     spec = csi.ActivitySpec(
-        class_id=0, duration_s=0.6, seed=seed, noise_std=0.05,
+        duration_s=0.6, seed=seed, noise_std=0.05,
         motion_components=(csi.MotionComponent(
             doppler_hz=8.0, delay_weight=1.0, antenna_pattern=(1.0,) * 9),))
     return csi.synth_stream(spec, 3, 3, 30, 100.0)
