@@ -12,8 +12,8 @@ sorted by key. The config file holds flat dotted keys, one "key = value" per
 line, "#" comments; any key of the table is accepted by every subcommand, so
 one file can serve the whole pipeline; any other key, or a repeated one, is
 an error. The STWNN_LOG environment variable (debug/info/warning/quiet)
-selects log verbosity. Exit codes: 0 success, 1 runtime failure, 2 usage or
-config error.
+selects log verbosity. Exit codes: 0 success, 1 runtime failure (a corrupt
+file, named in the message, or running out of memory), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csi, dataio, network, training, volumes
-from .errors import (CompatibilityError, ConfigError, CorruptionError, DimensionError,
+from .errors import (CompatibilityError, ConfigError, DimensionError,
                      InsufficientDataError, StwnnError, UsageError, ValidationError)
 
 log = logging.getLogger("stwnn")
@@ -197,10 +197,8 @@ def _cmd_segment(args, settings: dict) -> int:
 
 
 def _load_samples(manifest_path: Path, split: str):
-    """(sample array, label) pairs for one split of a volumes manifest, and the
-    manifest. Every segment of a file holds the same distinct scales, those
-    the manifest's segmentation declares, each a volume of its target shape. A
-    volume stored with a label must carry its manifest entry's label."""
+    """(sample array, label) pairs for one split of a volumes manifest, and the manifest.
+    Each file's grid (``dataio.load_volumes``) must carry the manifest's scales, target, label."""
     manifest = dataio.load_manifest(manifest_path)
     seg = manifest.segmentation
     if seg is None:
@@ -208,27 +206,15 @@ def _load_samples(manifest_path: Path, split: str):
     dataset = []
     for e in manifest.split(split):
         path = manifest_path.parent / e.path
-        file_scales = None
-        for group in volumes.group_by_segment(dataio.load_volumes(path)):
-            scales = tuple(sorted(v.scale for v in group))
-            if len(set(scales)) != len(scales) or file_scales not in (None, scales):
-                raise CorruptionError(
-                    f"{path}: segment {group[0].source_segment} has scales {scales}, "
-                    f"expected distinct scales the same as the first segment's")
-            file_scales = scales
-            for v in group:
-                if v.label is not None and v.label != e.label:
-                    raise ValidationError(
-                        f"{path}: segment {v.source_segment} is stored with label "
-                        f"{v.label}, the manifest gives {e.label}")
-                if v.data.shape != seg.target_shape:
-                    raise ValidationError(
-                        f"{path}: segment {v.source_segment} has a volume of shape "
-                        f"{v.data.shape}, the manifest's target is {seg.target_shape}")
-            dataset.append((volumes.stack_channels(group), e.label))
-        if file_scales not in (None, seg.scales):
-            raise ValidationError(f"{e.path}: scales {file_scales} differ from the manifest's "
-                                  f"{seg.scales}")
+        vols = dataio.load_volumes(path)
+        scales = tuple(v.scale for v in vols if v.source_segment == 0)
+        for name, have, want in (("scales", scales, seg.scales),
+                                 ("volume shapes", vols[0].data.shape, seg.target_shape),
+                                 ("stored labels", vols[0].label, e.label)):
+            if have not in (None, want):  # None: the volumes are stored unlabeled
+                raise ValidationError(f"{path}: {name} {have} differ from the manifest's {want}")
+        grid = np.stack([v.data for v in vols]).reshape(-1, len(scales), *seg.target_shape)
+        dataset += [(sample, e.label) for sample in grid]
     return dataset, manifest
 
 
@@ -239,8 +225,6 @@ def _cmd_train(args, settings: dict) -> int:
                                seed=t["seed"])
     manifest_path = Path(args.manifest)
     train_set, manifest = _load_samples(manifest_path, "train")
-    if not train_set:
-        raise UsageError("train split has no samples")
     val_set, _ = _load_samples(manifest_path, "val")
     if not val_set:
         val_set = train_set
@@ -316,8 +300,6 @@ def _cmd_shift(args, settings: dict) -> int:
         stream = dataio.load_stream(manifest_path.parent / e.path)
         agreement = training.shift_consistency(model, stream, cfg, args.max_shift)
         rows.append((e.path, agreement))
-    if not rows:
-        raise UsageError("manifest has no test entries")
     out = Path(args.out) if args.out else manifest_path.parent / "shift_agreement.tsv"
     with open(out, "w", encoding="utf-8") as f:
         f.write("stream\tagreement\n")
@@ -388,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (StwnnError, OSError) as exc:
         log.error("%s", exc)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
         return EXIT_RUNTIME
 
 

@@ -8,11 +8,14 @@ CSI1  stream file
     body:   frame_count frames, each n_tx*n_rx*n_sub complex entries in
             (tx, rx, sub) row-major order, stored as interleaved f64 (re, im)
 
-VOL1  volume set
+VOL1  volume set: one recording's samples, a K x C grid of volumes
     magic "VOL1"
     count u32, then per volume:
     d_sub u32, d_time u32, d_ant u32, scale u32, source_segment u32,
     label i32 (-1 means unlabeled), then d_sub*d_time*d_ant f64 row-major
+    The grid: count >= 1; segments 0..K-1 in order, each holding segment 0's
+    C scales, strictly ascending; every volume of volume 0's shape and label
+    (-1 counts as a label). ``load_volumes`` rejects any other file.
 
 WGT1  weight archive, the single source of a saved model
     magic "WGT1", format_version u32 (exactly 2; version 1 has no segmentation)
@@ -24,8 +27,8 @@ WGT1  weight archive, the single source of a saved model
     segmentation echo (how the training volumes were cut): window u32, overlap
     u32, scale count u32 (= in_channels), scale u32 each, target u32 x3
     tensor count u32, then per tensor: name length u16 + utf-8 name,
-    ndim u8, dims u32 each, f64 values row-major; the names are unique and
-    are exactly the model's parameter names
+    ndim u8, dims u32 each, f64 values row-major (finite); the names are
+    unique and are exactly the model's parameter names
     ``load_weights`` reads it in one pass: it checks the header, builds the
     model from the echo and fills each parameter by name.
 
@@ -33,10 +36,14 @@ Manifests are UTF-8 text: "#" starts a comment, entry lines are
 "path<TAB>label<TAB>split" with split in {train, val, test}, and directives
 (each once) are "@n_classes<TAB>n" and, in a volumes manifest,
 "@segmentation<TAB>window<TAB>overlap<TAB>scales<TAB>target" (comma lists).
+
+Every format or corruption error the four loaders raise starts with the path
+of the file it is about.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -53,6 +60,17 @@ from .volumes import SegmentationConfig, Volume3D
 
 _SPLITS = ("train", "val", "test")
 WEIGHTS_VERSION = 2
+
+
+def _names_path(load):
+    """``load(path)``, whose format errors start with the path."""
+    @functools.wraps(load)
+    def named(path):
+        try:
+            return load(path)
+        except (FormatError, CorruptionError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    return named
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -93,6 +111,7 @@ def save_stream(path, stream: CsiStream) -> None:
         f.write(stream.h.astype("<c16", copy=False).tobytes())  # interleaved <f8 re, im
 
 
+@_names_path
 def load_stream(path) -> CsiStream:
     with open(path, "rb") as f:
         _expect_magic(f, b"CSI1")
@@ -127,10 +146,13 @@ def save_volumes(path, volumes) -> None:
             f.write(np.ascontiguousarray(v.data, dtype="<f8").tobytes())
 
 
+@_names_path
 def load_volumes(path) -> list:
     with open(path, "rb") as f:
         _expect_magic(f, b"VOL1")
         (count,) = _read_struct(f, "<I", "volume count")
+        if count < 1:
+            raise CorruptionError("volume count is 0")
         out = []
         for i in range(count):
             d_sub, d_time, d_ant, scale, source_segment, label = _read_struct(
@@ -146,6 +168,17 @@ def load_volumes(path) -> list:
             except ValidationError as exc:  # non-finite entries
                 raise CorruptionError(f"volume {i} content: {exc}") from exc
         _expect_eof(f)
+    first = out[0]
+    scales = tuple(sorted({v.scale for v in out if v.source_segment == first.source_segment}))
+    c = len(scales)
+    for i, v in enumerate(out):
+        have = (v.source_segment, v.scale, v.data.shape, v.label)
+        want = (i // c, scales[i % c], first.data.shape, first.label)
+        if have != want:
+            raise CorruptionError(f"volume {i} has (segment, scale, shape, label) {have}, "
+                                  f"the grid of volume 0 needs {want}")
+    if count % c:
+        raise CorruptionError(f"segment {count // c} lacks scales {scales[count % c:]}")
     return out
 
 
@@ -217,6 +250,7 @@ def save_weights(path, model: Model, seg: SegmentationConfig) -> None:
             f.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
 
 
+@_names_path
 def load_weights(path) -> tuple:
     """(model, segmentation): build the model an archive's config echo
     describes, fill its parameters and read the segmentation it was trained on."""
@@ -257,6 +291,8 @@ def load_weights(path) -> tuple:
                     f"tensor {name!r} has shape {tuple(shape)}, model expects "
                     f"{target.values.shape}")
             target.values = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(target.values).all():
+                raise CorruptionError(f"tensor {name!r} holds non-finite values")
         _expect_eof(f)
     return model, segmentation
 
@@ -295,13 +331,14 @@ def _parse_directive(key: str, values: list):
                               target_shape=tuple(int(v) for v in target.split(",")))
 
 
+@_names_path
 def load_manifest(path) -> DatasetManifest:
     entries, directives, seen_at = [], {}, {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"manifest {path} is not UTF-8 text: {exc.reason}") from exc
+        raise ValidationError(f"not UTF-8 text: {exc.reason}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip("\n").strip()
         if not line:
@@ -334,7 +371,7 @@ def load_manifest(path) -> DatasetManifest:
         entries.append(ManifestEntry(path=file_path, label=label, split=split))
 
     if not entries:
-        raise ValidationError(f"manifest {path} has no entries")
+        raise ValidationError("no entries")
     n_classes = directives.get("n_classes", max(e.label for e in entries) + 1)
     for e in entries:
         if e.label >= n_classes:

@@ -427,14 +427,15 @@ def test_c09_persistence(tmp_path):
                 and loaded.sample_rate_hz == stream.sample_rate_hz):
             failures.append(f"stream {i}")
 
-    for i in range(33):  # volume sets
-        vols = []
-        for _ in range(int(rng.integers(0, 5))):
-            shape = tuple(int(v) for v in rng.integers(1, 6, size=3))
-            vols.append(vol.Volume3D(
-                data=rng.standard_normal(shape), scale=int(rng.integers(1, 5)),
-                source_segment=int(rng.integers(0, 10)),
-                label=None if rng.uniform() < 0.3 else int(rng.integers(0, 5))))
+    grid_rng = np.random.default_rng(309)  # apart from rng, as seg_rng below is
+    for i in range(33):  # volume sets: VOL1 holds a K x C grid of one shape and one label
+        scales = sorted(int(s) for s in grid_rng.choice(
+            np.arange(1, 9), size=int(grid_rng.integers(1, 4)), replace=False))
+        shape = tuple(int(v) for v in grid_rng.integers(1, 6, size=3))
+        label = None if grid_rng.uniform() < 0.3 else int(grid_rng.integers(0, 5))
+        vols = [vol.Volume3D(data=grid_rng.standard_normal(shape), scale=scale,
+                             source_segment=k, label=label)
+                for k in range(int(grid_rng.integers(1, 5))) for scale in scales]
         path = tmp_path / f"v{i}.vol1"
         dataio.save_volumes(path, vols)
         loaded = dataio.load_volumes(path)

@@ -187,6 +187,27 @@ class TestTrainEvalShift:
         assert run("train", "--manifest", str(vols / "manifest.tsv"),
                    "--out", str(tmp_path / "m.wgt1"), "--epochs", "1") == 1
 
+    def test_truncated_volume_file_is_named(self, small_pipeline, tmp_path, capsys):
+        vols = tmp_path / "vols"
+        vols.mkdir()
+        for path in small_pipeline["vols"].iterdir():
+            (vols / path.name).write_bytes(path.read_bytes())
+        victim = vols / dataio.load_manifest(vols / "manifest.tsv").split("train")[0].path
+        victim.write_bytes(victim.read_bytes()[:3000])
+        assert run("train", "--manifest", str(vols / "manifest.tsv"),
+                   "--out", str(tmp_path / "m.wgt1"), "--epochs", "1") == 1
+        assert f"{victim}: truncated file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_runtime_failure(self, small_pipeline, tmp_path, capsys,
+                                                  value):
+        weights = tmp_path / "m.wgt1"
+        data = small_pipeline["weights"].read_bytes()
+        weights.write_bytes(data[:-8] + struct.pack("<d", value))  # the last gate.bias value
+        assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--weights", str(weights)) == 1
+        assert f"{weights}: tensor 'gate.bias' holds non-finite values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("offset, value", [(8, 0), (40, 5)])  # n_classes, vector count
     def test_rejected_config_echo_is_runtime_failure(self, small_pipeline, tmp_path,
                                                      offset, value):
@@ -249,7 +270,8 @@ class TestTrainEvalShift:
         manifest = self.volume_files(tmp_path / "v", [rows], ["train"])
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 1
-        assert "f0.vol1: segment" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "f0.vol1: volume " in err and "the grid of volume 0 needs" in err, err
 
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_files_with_other_scales_are_not_mixed(self, tmp_path, split, capsys):
@@ -266,15 +288,40 @@ class TestTrainEvalShift:
             Volume3D(data=rng.standard_normal(shape), scale=scale, source_segment=0)
             for scale, shape in ((1, (12, 16, 9)), (2, (12, 8, 9)))])
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
-                   "--epochs", "1") == 2
-        assert ("f0.vol1: segment 0 has a volume of shape (12, 8, 9), the manifest's target "
-                "is (12, 16, 9)" in capsys.readouterr().err)
+                   "--epochs", "1") == 1
+        assert ("f0.vol1: volume 1 has (segment, scale, shape, label) (0, 2, (12, 8, 9), None), "
+                "the grid of volume 0 needs (0, 2, (12, 16, 9), None)" in capsys.readouterr().err)
+
+    # (segment, scale, label) per volume, all 12x16x9, and the message naming the first break
+    @pytest.mark.parametrize("volumes, message", [
+        ([], "volume count is 0"),
+        ([(0, 1, 0), (2, 1, 0)], "volume 1 has (segment, scale, shape, label) (2, 1, "),
+        ([(1, 1, 0), (0, 1, 0)], "volume 0 has (segment, scale, shape, label) (1, 1, "),
+        ([(0, 1, 0), (0, 2, 0), (1, 1, 0)], "segment 1 lacks scales (2,)"),
+        ([(0, 1, 0), (1, 1, 1)], "volume 1 has (segment, scale, shape, label) (1, 1, (12, 16, "
+                                 "9), 1), the grid of volume 0 needs (1, 1, (12, 16, 9), 0)"),
+        ([(0, 1, None), (1, 1, 0)], "volume 1 has (segment, scale, shape, label) (1, 1, (12, 16, "
+                                    "9), 0), the grid of volume 0 needs (1, 1, (12, 16, 9), None)"),
+    ], ids=["count_0", "segments_0_2", "segments_out_of_order", "last_segment_short",
+            "mixed_labels", "unlabeled_then_labeled"])
+    def test_file_off_the_grid_is_corruption(self, tmp_path, capsys, volumes, message):
+        manifest = self.volume_files(tmp_path / "v", [[(1,)]], ["train"])
+        victim = manifest.parent / "f0.vol1"
+        rng = np.random.default_rng(62)
+        dataio.save_volumes(victim, [
+            Volume3D(data=rng.standard_normal((12, 16, 9)), scale=scale, source_segment=k,
+                     label=label) for k, scale, label in volumes])
+        assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
+                   "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert f"{victim}: {message}" in err, err
+        assert not (tmp_path / "m.wgt1").exists()
 
     def test_stored_label_must_match_manifest(self, tmp_path, capsys):
         manifest = self.volume_files(tmp_path / "v", [[(1,), (1,)]], ["train"], label=1)
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 2
-        assert ("f0.vol1: segment 0 is stored with label 1, the manifest gives 0"
+        assert ("f0.vol1: stored labels 1 differ from the manifest's 0"
                 in capsys.readouterr().err)
 
     def test_unlabeled_volumes_load(self, tmp_path):
@@ -380,7 +427,7 @@ class TestSegmentationChosenOnce:
             "--weights", str(small_pipeline["weights"])]
         assert run(command, "--manifest", str(manifest), *out) == 2
         err = capsys.readouterr().err
-        assert "shape (12, 16, 9), the manifest's target is (12, 8, 9)" in err, err
+        assert "volume shapes (12, 16, 9) differ from the manifest's (12, 8, 9)" in err, err
         assert not (tmp_path / "m.wgt1").exists()
 
     @pytest.mark.parametrize("flag, value", [("--scales", "1,2"), ("--window", "32"),
@@ -445,7 +492,7 @@ class TestExitCodesAndLogging:
         manifest.write_bytes(manifest.read_bytes() + b"# r\xe9sum\xe9\n")
         assert run("segment", "--manifest", str(manifest), "--out", str(tmp_path / "v"),
                    "--window", "32", "--overlap", "0") == 2
-        assert f"manifest {manifest} is not UTF-8" in capsys.readouterr().err
+        assert f"{manifest}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan")])
     def test_bad_sample_rate_is_runtime_failure(self, tmp_path, rate):
@@ -459,6 +506,18 @@ class TestExitCodesAndLogging:
         assert run("segment", "--manifest", str(out / "manifest.tsv"),
                    "--out", str(tmp_path / "v"), "--window", "32",
                    "--overlap", "0") == 1
+
+    def test_out_of_memory_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        from stwnn import csi
+
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.96 TiB for an array")
+
+        monkeypatch.setattr(csi, "synth_stream", allocate)
+        assert synth_small(tmp_path / "d") == 1
+        err = capsys.readouterr().err
+        assert "out of memory: Unable to allocate 1.96 TiB for an array" in err
+        assert "Traceback" not in err
 
     def test_log_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STWNN_LOG", "quiet")

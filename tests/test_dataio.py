@@ -98,24 +98,20 @@ class TestStreamHeaderFaults:
             dataio.load_stream(path)
 
 
-def random_volumes(rng, count):
-    out = []
-    for i in range(count):
-        shape = tuple(int(d) for d in rng.integers(1, 6, size=3))
-        out.append(Volume3D(data=rng.standard_normal(shape),
-                            scale=int(rng.integers(1, 5)),
-                            source_segment=int(rng.integers(0, 9)),
-                            label=None if rng.uniform() < 0.3 else int(rng.integers(0, 4))))
-    return out
+def random_grid(rng, segments=2, scales=(1, 2), shape=(3, 4, 2), label=None):
+    """A VOL1 grid: per segment one volume per scale, all of one shape and label."""
+    return [Volume3D(data=rng.standard_normal(shape), scale=scale, source_segment=k,
+                     label=label)
+            for k in range(segments) for scale in scales]
 
 
 class TestVolumeRoundTrip:
-    def test_bit_identical_mixed_shapes(self, tmp_path):
-        vols = random_volumes(np.random.default_rng(43), 7)
+    def test_bit_identical_grid(self, tmp_path):
+        vols = random_grid(np.random.default_rng(43), 3, (1, 2, 4), (2, 5, 3), label=1)
         path = tmp_path / "v.vol1"
         dataio.save_volumes(path, vols)
         loaded = dataio.load_volumes(path)
-        assert len(loaded) == 7
+        assert len(loaded) == 9
         for a, b in zip(loaded, vols):
             np.testing.assert_array_equal(a.data, b.data)
             assert (a.scale, a.source_segment, a.label) == (b.scale, b.source_segment, b.label)
@@ -123,7 +119,8 @@ class TestVolumeRoundTrip:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "v.vol1"
         dataio.save_volumes(path, [])
-        assert dataio.load_volumes(path) == []
+        with pytest.raises(CorruptionError, match="v.vol1: volume count is 0"):
+            dataio.load_volumes(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.vol1"
@@ -132,7 +129,7 @@ class TestVolumeRoundTrip:
             dataio.load_volumes(path)
 
     def test_truncation(self, tmp_path):
-        vols = random_volumes(np.random.default_rng(44), 3)
+        vols = random_grid(np.random.default_rng(44))
         path = tmp_path / "v.vol1"
         dataio.save_volumes(path, vols)
         data = path.read_bytes()
@@ -150,7 +147,7 @@ class TestVolumeRoundTrip:
 
     def test_non_finite_payload_is_corruption(self, tmp_path):
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, random_volumes(np.random.default_rng(47), 2))
+        dataio.save_volumes(path, random_grid(np.random.default_rng(47)))
         data = bytearray(path.read_bytes())
         data[32:40] = struct.pack("<d", float("inf"))  # first value of volume 0
         path.write_bytes(bytes(data))
@@ -159,7 +156,7 @@ class TestVolumeRoundTrip:
 
     def test_count_overstates_content(self, tmp_path):
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, random_volumes(np.random.default_rng(45), 2))
+        dataio.save_volumes(path, random_grid(np.random.default_rng(45), 1))
         data = bytearray(path.read_bytes())
         data[4:8] = struct.pack("<I", 3)  # claim one more volume than stored
         path.write_bytes(bytes(data))
@@ -314,11 +311,35 @@ class TestWeightsRoundTrip:
         with pytest.raises(CorruptionError, match="truncated"):
             dataio.load_weights(path)
 
+    @pytest.mark.parametrize("name", [b"block0.conv1.weight", b"gate.bias"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tensor_is_corruption(self, tmp_path, name, value):
+        _, path = self.saved(tmp_path)
+        data = path.read_bytes()
+        at = data.index(name) + len(name)  # then ndim u8, the dims and the values
+        self.corrupted(path, at + 1 + 4 * data[at], struct.pack("<d", value))
+        with pytest.raises(CorruptionError, match=f"tensor '{name.decode()}' holds non-finite"):
+            dataio.load_weights(path)
+
     def test_truncated_tensor_data(self, tmp_path):
         _, path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-12])
         with pytest.raises(CorruptionError):
             dataio.load_weights(path)
+
+
+@pytest.mark.parametrize("loader, blob, error", [
+    (dataio.load_stream, b"XXXX" + bytes(40), FormatError),
+    (dataio.load_volumes, b"VOL1" + struct.pack("<I", 1) + bytes(10), CorruptionError),
+    (dataio.load_weights, b"WGT1" + struct.pack("<I", 2) + bytes(22), CorruptionError),
+    (dataio.load_manifest, b"a.csi1\t0\n", ValidationError),
+], ids=["stream", "volumes", "weights", "manifest"])
+def test_errors_start_with_the_path(tmp_path, loader, blob, error):
+    path = tmp_path / "f.bin"
+    path.write_bytes(blob)
+    with pytest.raises(error) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 class TestManifest:
