@@ -4,6 +4,8 @@ A Tensor wraps a C-contiguous numpy array plus an optional gradient buffer.
 Operations build an implicit graph through parent references and per-node
 backward closures; ``backward`` walks the graph once in reverse topological
 order and stores gradients on leaves only, accumulating until reset to None.
+Inside ``no_graph()`` no graph is recorded, so inference holds no
+intermediate longer than the op that reads it.
 
 Everything runs in double precision. There is no broadcasting except the
 bias term of ``linear``/``conv3d`` and the per-vector weights of
@@ -58,10 +60,27 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
+# False inside ``no_graph``: op results then record no graph at all
+_RECORDING = True
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Run the block without recording the graph: op results keep no parents
+    and no backward closure, so each intermediate is freed as soon as it is
+    dropped. Values are the same as with recording on; for inference."""
+    global _RECORDING
+    saved, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
 def _result(values, parents, backward_fn):
     """Wrap an op result, recording the graph only when a parent needs grads."""
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

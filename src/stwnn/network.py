@@ -263,8 +263,10 @@ def _sample_to_array(sample, in_channels: int) -> np.ndarray:
 
 def forward(model: Model, sample) -> tuple:
     """Inference pass on one (C, sub, time, ant) ndarray, returning the 1-D
-    (logits, probs, mask) arrays; ``training.predict`` maps it over samples."""
+    (logits, probs, mask) arrays; ``training.predict`` maps it over samples.
+    It records no graph (``autodiff.no_graph``)."""
     x = Tensor(_sample_to_array(sample, model.config.in_channels))
-    logits_t, mask_t = forward_graph(model, x)
-    probs_t = ad.softmax(logits_t)
+    with ad.no_graph():
+        logits_t, mask_t = forward_graph(model, x)
+        probs_t = ad.softmax(logits_t)
     return logits_t.values.copy(), probs_t.values.copy(), mask_t.values.copy()

@@ -11,7 +11,9 @@ the plain branch.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -122,8 +124,11 @@ def _check_dataset(dataset, n_classes: int, what: str):
 
 
 # (model, xs, labels, mix) of the running ``train`` call. Forked workers
-# inherit it copy-on-write, so only parameters, indices and gradients are sent.
+# inherit it copy-on-write, so a task sends only a sample index and 1/batch.
 _SHARED = None
+
+# glibc mallopt parameters; see ``_bind_worker``
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _worker_count(batch_size: int, n_samples: int) -> int:
@@ -135,22 +140,42 @@ def _worker_count(batch_size: int, n_samples: int) -> int:
     return min(cores or 1, batch_size, n_samples)
 
 
-def _sample_grads(values, indices, inv: float):
-    """(loss, gradient per parameter) of each sample in ``indices``, in order,
-    with the shared model's parameters set to ``values``. Each loss is scaled
-    by ``inv`` (one over the batch size) before its own backward."""
+def _bind_worker(views):
+    """Pool initializer: point the worker's parameters at the shared buffer's
+    views, which the parent refills before each batch. A sample's graph frees
+    tens of MB at once; glibc would hand that back to the kernel and fault it
+    in again on the next sample, so the worker keeps up to 64 MiB of freed
+    heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
+    model = _SHARED[0]
+    for p, v in zip(model.parameters().values(), views):
+        p.values = v
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _sample_grad(idx: int, inv: float):
+    """(loss, gradient per parameter) of sample ``idx`` of the shared training
+    set, its loss scaled by ``inv`` (one over the batch size) before backward."""
     model, xs, labels, mix = _SHARED
     params = list(model.parameters().values())
-    for p, v in zip(params, values):
-        p.values = v
-    out = []
-    for idx in indices:
-        for p in params:
-            p.grad = None
-        loss = ad.mul_const(sample_loss_graph(model, xs[idx], labels[idx], mix), inv)
-        ad.backward(loss)
-        out.append((float(loss.values[0]), [p.grad for p in params]))
-    return out
+    for p in params:
+        p.grad = None
+    loss = ad.mul_const(sample_loss_graph(model, xs[idx], labels[idx], mix), inv)
+    ad.backward(loss)
+    return float(loss.values[0]), [p.grad for p in params]
+
+
+def _shared_views(params):
+    """One float64 view per parameter into one anonymous shared mapping, which
+    forked workers inherit, so parameter values are never pickled."""
+    sizes = [p.values.size for p in params]
+    buf = mmap.mmap(-1, 8 * sum(sizes))
+    offsets = np.cumsum([0] + sizes)
+    return [np.frombuffer(buf, dtype=np.float64, count=n, offset=8 * int(off)).reshape(p.shape)
+            for p, n, off in zip(params, sizes, offsets)]
 
 
 def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
@@ -162,11 +187,18 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     give identical histories.
 
     Per-sample gradients run on one forked worker per available core (see
-    ``_worker_count``), each on a contiguous slice of the batch. The parent
-    adds them up in batch order, exactly as one ``autodiff.backward`` per
-    sample would, so parameters and history do not depend on the core count.
+    ``_worker_count``), one task per sample. Workers read the parameters from
+    one anonymous shared buffer that the parent refills before each batch, and
+    the parent adds each sample's gradients into one running sum as they
+    arrive, in batch order, exactly as one ``autodiff.backward`` per sample
+    would. So parameters and history do not depend on the core count, and
+    memory is bounded by one sample per worker, not by the batch. With one
+    worker the same per-sample function runs in this process.
+
     A worker's ``StwnnError`` reaches the caller with its own type; a worker
-    that dies becomes a ``StwnnError``.
+    that dies becomes a ``StwnnError``, and so does a parameter that turns
+    non-finite after an SGD step (naming the epoch, the batch and the first
+    such parameter in ``parameters()`` order).
     """
     global _SHARED
     # imported here, so that commands which never train do not load them
@@ -183,6 +215,7 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
     workers = _worker_count(cfg.batch_size, len(xs))
+    views = _shared_views(opt.params) if workers > 1 else None
 
     history = []
     best_oa = -1.0
@@ -191,28 +224,39 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     try:
         # fork, not spawn: a spawned worker would import the package again and
         # receive the whole dataset by pickle on every ``train`` call
-        with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-              if workers > 1 else contextlib.nullcontext()) as pool:
+        with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                  initializer=_bind_worker, initargs=(views,))
+              if views is not None else contextlib.nullcontext()) as pool:
             run = pool.map if pool else map
             for epoch in range(cfg.epochs):
                 rng = np.random.default_rng([cfg.seed, epoch])
                 order = rng.permutation(len(xs))
                 total_loss = 0.0
-                for start in range(0, len(order), cfg.batch_size):
+                for b, start in enumerate(range(0, len(order), cfg.batch_size)):
                     batch = order[start:start + cfg.batch_size]
-                    parts = np.array_split(batch, min(workers, len(batch)))
-                    values = [p.values for p in opt.params]
-                    summed = [None] * len(values)
-                    for part in run(_sample_grads, [values] * len(parts), parts,
-                                    [1.0 / len(batch)] * len(parts)):
-                        for loss, grads in part:
-                            total_loss += loss * len(batch)
-                            for i, g in enumerate(grads):
-                                if g is not None:
-                                    summed[i] = g if summed[i] is None else summed[i] + g
+                    if views is not None:
+                        for v, p in zip(views, opt.params):
+                            np.copyto(v, p.values)
+                    summed = [None] * len(opt.params)
+                    for loss, grads in run(_sample_grad, batch.tolist(),
+                                           [1.0 / len(batch)] * len(batch)):
+                        total_loss += loss * len(batch)
+                        for i, g in enumerate(grads):
+                            if g is None:
+                                continue
+                            if summed[i] is None:
+                                summed[i] = g
+                            else:
+                                summed[i] += g
                     for p, s in zip(opt.params, summed):
                         p.grad = s
                     opt.step()
+                    bad = next((name for name, p in params.items()
+                                if not np.isfinite(p.values).all()), None)
+                    if bad is not None:
+                        raise StwnnError(
+                            f"training went non-finite at epoch {epoch}, batch {b}: "
+                            f"parameter {bad!r} holds non-finite values")
                 val_metrics = evaluate(model, val_set)
                 stats = EpochStats(epoch=epoch,
                                    train_loss=total_loss / len(xs),

@@ -383,6 +383,33 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * x.values + 1, atol=1e-12)
 
 
+
+class TestNoGraph:
+    def test_results_keep_no_parents(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with ad.no_graph():
+            y = ad.scalar_sum(ad.relu(ad.mul_const(x, 3.0)))
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        np.testing.assert_array_equal(y.values, [3.0])
+        recorded = ad.scalar_sum(ad.relu(ad.mul_const(x, 3.0)))
+        assert recorded._parents and recorded.requires_grad
+
+    def test_flag_restored_after_an_exception(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(DimensionError):
+            with ad.no_graph():
+                ad.add(x, Tensor(np.zeros(2)))
+        assert ad.relu(x)._parents == (x,)
+
+    def test_nested_blocks_restore_the_outer_setting(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        with ad.no_graph():
+            with ad.no_graph():
+                pass
+            assert ad.relu(x)._parents == ()
+        assert ad.relu(x)._parents == (x,)
+
+
 class TestGradCheck:
     def test_sum_of_squares(self):
         point = Tensor(np.random.default_rng(7).standard_normal(6))

@@ -187,6 +187,24 @@ class TestTrainEvalShift:
         assert run("train", "--manifest", str(vols / "manifest.tsv"),
                    "--out", str(tmp_path / "m.wgt1"), "--epochs", "1") == 1
 
+    def test_training_that_goes_non_finite_writes_no_weights(self, small_pipeline, tmp_path,
+                                                              capsys):
+        # a finite but huge value (a possible bit flip) overflows the first step
+        vols = tmp_path / "vols"
+        vols.mkdir()
+        for path in small_pipeline["vols"].iterdir():
+            (vols / path.name).write_bytes(path.read_bytes())
+        victim = vols / dataio.load_manifest(vols / "manifest.tsv").split("train")[0].path
+        data = bytearray(victim.read_bytes())
+        data[32:40] = struct.pack("<d", 1e300)  # first value of the first volume
+        victim.write_bytes(bytes(data))
+        weights = tmp_path / "m.wgt1"
+        assert run("train", "--manifest", str(vols / "manifest.tsv"), "--out", str(weights),
+                   "--epochs", "1", "--blocks", "2,4") == 1
+        assert ("training went non-finite at epoch 0, batch 0: parameter "
+                "'block0.conv1.weight' holds non-finite values") in capsys.readouterr().err
+        assert not weights.exists() and not weights.with_suffix(".history.tsv").exists()
+
     def test_truncated_volume_file_is_named(self, small_pipeline, tmp_path, capsys):
         vols = tmp_path / "vols"
         vols.mkdir()

@@ -259,6 +259,18 @@ class TestForward:
         for a, b in zip(out1, out2):
             np.testing.assert_array_equal(a, b)
 
+    def test_equals_the_recorded_graph(self):
+        """``forward`` records no graph and still returns the very values of
+        ``forward_graph`` + softmax on the same time-major input."""
+        model = tiny_model(block_channels=(2, 3))
+        x = np.random.default_rng(25).standard_normal((2, 4, 6, 9))
+        logits, probs, mask = net.forward(model, x)
+        logits_t, mask_t = net.forward_graph(model, Tensor(x.transpose(0, 2, 1, 3)))
+        assert logits_t._parents                # the graph path records
+        assert np.array_equal(logits, logits_t.values)
+        assert np.array_equal(probs, ad.softmax(logits_t).values)
+        assert np.array_equal(mask, mask_t.values)
+
     def test_channel_mismatch(self):
         model = tiny_model()
         with pytest.raises(DimensionError):

@@ -224,6 +224,48 @@ class TestTrainLoop:
         _, h2 = tr.train(tiny_model(), data, data, cfg)
         assert h1 == h2
 
+    def test_memory_does_not_grow_with_the_batch(self, monkeypatch):
+        """One in-process epoch over 16 samples peaks as high at batch 16 as at
+        batch 2, within one set of parameter-sized arrays: gradients are summed
+        per sample as they arrive, not held for the whole batch."""
+        monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: 1)
+        data = tiny_dataset(8)
+        wide = dict(block_channels=(24, 24))    # parameters outweigh a sample's graph
+
+        def peak(batch_size):
+            cfg = tr.TrainConfig(epochs=1, batch_size=batch_size, lr=0.01, seed=1)
+            model = tiny_model(**wide)
+            tracemalloc.start()
+            try:
+                tr.train(model, data, data[:2], cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        param_bytes = sum(p.values.nbytes for p in tiny_model(**wide).parameters().values())
+        peak(2)                         # one-time allocations out of the way
+        small, large = peak(2), peak(16)
+        assert large < small + param_bytes, (
+            f"batch 16 peaked at {large / 1e6:.2f} MB, batch 2 at {small / 1e6:.2f} MB")
+
+    def test_non_finite_parameter_stops_training(self):
+        data = tiny_dataset(2)
+        data[1] = (data[1][0].copy(), data[1][1])
+        data[1][0][0, 0, 0, 0] = 1e300
+        model = tiny_model()
+        cfg = tr.TrainConfig(epochs=2, batch_size=2, lr=0.01, seed=0)
+        with pytest.raises(StwnnError, match="non-finite") as exc:
+            tr.train(model, data, data, cfg)
+        assert not isinstance(exc.value, cli._USAGE_ERRORS)    # the CLI exits 1
+        # train stopped right after the step that broke the parameters
+        first = next(name for name, p in model.parameters().items()
+                     if not np.isfinite(p.values).all())
+        order = np.random.default_rng([0, 0]).permutation(4)
+        batch = list(order).index(1) // 2
+        assert str(exc.value) == (f"training went non-finite at epoch 0, batch {batch}: "
+                                  f"parameter {first!r} holds non-finite values")
+        assert tr._SHARED is None
+
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(epochs=1, batch_size=1)
         with pytest.raises(UsageError):
@@ -251,15 +293,18 @@ class TestTrainLoop:
             tr.TrainConfig(epochs=1, seed=-1)
 
 
-_SAMPLE_GRADS = tr._sample_grads
+_SAMPLE_GRAD = tr._sample_grad
+# TestTrainWorkers trains 6 samples at batch 5 and seed 4 for 2 epochs; the
+# first sample of each epoch's 5-sample batch
+_BATCH_HEADS = {int(np.random.default_rng([4, epoch]).permutation(6)[0]) for epoch in range(2)}
 
 
-def _first_part_finishes_last(values, indices, inv):
-    """``_sample_grads`` that holds back the larger, first part of a batch, so
-    its worker finishes after the one with the batch's tail."""
-    if len(indices) == 3:
+def _first_sample_finishes_last(idx, inv):
+    """``_sample_grad`` that holds back the first sample of each 5-sample
+    batch, so it finishes after the samples behind it."""
+    if inv == 1 / 5 and idx in _BATCH_HEADS:
         time.sleep(0.5)
-    return _SAMPLE_GRADS(values, indices, inv)
+    return _SAMPLE_GRAD(idx, inv)
 
 
 def _raise_dimension_error(*args):
@@ -275,12 +320,12 @@ def _die(*args):
 class TestTrainWorkers:
     def _train(self, monkeypatch, workers, epochs=2):
         monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: workers)
-        data = tiny_dataset(3)          # 6 samples: batches of 5 (split 3 + 2) and 1
+        data = tiny_dataset(3)          # 6 samples: batches of 5 and 1
         cfg = tr.TrainConfig(epochs=epochs, batch_size=5, lr=0.05, momentum=0.9, seed=4)
         return tr.train(tiny_model(), data, data[:2], cfg)
 
     def test_two_workers_are_bit_identical_to_one(self, monkeypatch):
-        monkeypatch.setattr(tr, "_sample_grads", _first_part_finishes_last)
+        monkeypatch.setattr(tr, "_sample_grad", _first_sample_finishes_last)
         serial, h1 = self._train(monkeypatch, 1)
         forked, h2 = self._train(monkeypatch, 2)
         assert h1 == h2
