@@ -250,7 +250,6 @@ class TestTrainLoop:
 
     def test_non_finite_parameter_stops_training(self):
         data = tiny_dataset(2)
-        data[1] = (data[1][0].copy(), data[1][1])
         data[1][0][0, 0, 0, 0] = 1e300
         model = tiny_model()
         cfg = tr.TrainConfig(epochs=2, batch_size=2, lr=0.01, seed=0)
