@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 A Tensor wraps a C-contiguous numpy array plus an optional gradient buffer.
-Operations build an implicit graph through parent references and per-node
-backward closures; ``backward`` walks the graph once in reverse topological
-order and stores gradients on leaves only, accumulating until reset to None.
-Inside ``no_graph()`` no graph is recorded, so inference holds no
-intermediate longer than the op that reads it.
+The graph is made of nodes, not values: an op result points to a ``_Node``
+holding its parents and its backward closure, and a leaf (a parameter or an
+input) is its own node. A node keeps no array, so an op result's values are
+freed once the caller drops them, unless a backward closure saved them (a
+conv saves its padded input, a relu its mask). ``backward`` walks the graph
+once in reverse topological order and stores gradients on leaves only,
+accumulating until reset to None. Inside ``no_graph()`` no graph is recorded,
+so inference holds no intermediate longer than the op that reads it.
 
 Everything runs in double precision. There is no broadcasting except the
 bias term of ``linear``/``conv3d`` and the per-vector weights of
@@ -36,17 +39,41 @@ import numpy as np
 from .errors import DimensionError, UsageError
 
 
+class _Node:
+    """An op result's place in the graph: its parents (nodes of op results,
+    leaf Tensors as themselves) and its backward closure; no values."""
+
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True     # only results with a grad-requiring parent get one
+
+    def __init__(self, parents, backward_fn):
+        self._parents = parents
+        self._backward = backward_fn
+
+
 class Tensor:
     """N-dimensional float64 array participating in the gradient graph."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = None    # a _Node on a recorded op result; None on a leaf
+
+    # the node's fields seen from its result, for code that walks or wraps the graph
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -82,8 +109,8 @@ def _result(values, parents, backward_fn):
     out = Tensor(values)
     if _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._node = _Node(tuple(p if p._node is None else p._node for p in parents),
+                          backward_fn)
     return out
 
 
@@ -408,7 +435,7 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor, stride=1, padding=0) -> Ten
             g_kernels = np.empty((c_out, c_in, len(offsets)))
             for t, off in enumerate(offsets):
                 g_kernels[:, :, t] = g_flat @ flat[:, off:off + n].T
-            g_kernels = g_kernels.reshape(kernels.shape)
+            g_kernels = g_kernels.reshape(kv.shape)
         g_bias = g.reshape(c_out, -1).sum(axis=1) if need_b else None
         g_x = None
         if need_x:
@@ -434,9 +461,10 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
 
+    start = loss if loss._node is None else loss._node
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(start, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -450,7 +478,7 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
 
-    pending = {id(loss): np.ones_like(loss.values)}
+    pending = {id(start): np.ones_like(loss.values)}
     for node in reversed(topo):
         g = pending.pop(id(node), None)
         if g is None:

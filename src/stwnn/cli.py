@@ -355,6 +355,8 @@ def _setup_logging():
              "warning": logging.WARNING, "quiet": logging.ERROR}.get(level_name, logging.INFO)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr, force=True)
+    # numpy's RuntimeWarnings, in forked workers too, become py.warnings records
+    logging.captureWarnings(True)
 
 
 def main(argv=None) -> int:

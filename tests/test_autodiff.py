@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics against loop oracles, gradients against
 central finite differences."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -382,6 +383,60 @@ class TestBackward:
         ad.backward(ad.add(ad.scalar_sum(ad.mul_elementwise(x, x)), ad.scalar_sum(x)))
         np.testing.assert_allclose(x.grad, 2 * x.values + 1, atol=1e-12)
 
+    def test_graph_keeps_no_result_values(self):
+        # conv -> relu -> conv -> sum: backward reads the padded inputs and the
+        # mask, so the first conv's output is freed once the caller drops it
+        rng = np.random.default_rng(12)
+        xv = rng.standard_normal((2, 4, 5, 3))
+        k1, k2 = rng.standard_normal((3, 2, 3, 3, 3)), rng.standard_normal((2, 3, 3, 3, 3))
+
+        def grads(drop):
+            x = Tensor(xv, requires_grad=True)
+            kt1, kt2 = Tensor(k1, requires_grad=True), Tensor(k2, requires_grad=True)
+            hidden = ad.conv3d(x, kt1, Tensor(np.zeros(3)), padding=1)
+            ref = weakref.ref(hidden.values)
+            loss = ad.scalar_sum(
+                ad.conv3d(ad.relu(hidden), kt2, Tensor(np.zeros(2)), padding=1))
+            if drop:
+                del hidden
+                assert ref() is None
+            ad.backward(loss)
+            return x.grad, kt1.grad, kt2.grad
+
+        for kept, dropped in zip(grads(drop=False), grads(drop=True)):
+            np.testing.assert_array_equal(kept, dropped)
+
+    def test_tracer_hooks(self):
+        # a profiler may wrap a conv result's ``_backward`` and count the graph
+        # by walking ``_parents`` from the loss down to the leaves
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((1, 3, 4, 2)), requires_grad=True)
+        k = Tensor(rng.standard_normal((2, 1, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        y = ad.conv3d(x, k, b, padding=1)
+        inner, calls = y._backward, []
+
+        def wrapped(g):
+            calls.append(g.shape)
+            return inner(g)
+
+        y._backward = wrapped
+        assert y._backward is wrapped
+        loss = ad.scalar_sum(y)
+        ad.backward(loss)
+        assert calls == [y.shape]
+        seen, stack, ends = {id(loss)}, [loss], []
+        while stack:
+            node = stack.pop()
+            if not node._parents:
+                ends.append(node)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) == 5                   # loss, the conv and three leaves
+        assert sorted(map(id, ends)) == sorted(map(id, (x, k, b)))
+        np.testing.assert_array_equal(b.grad, np.full(2, y.size // 2))
 
 
 class TestNoGraph:

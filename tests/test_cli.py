@@ -4,6 +4,8 @@ import filecmp
 import logging
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +114,20 @@ class TestSegment:
                    "--overlap", "0") == 2
 
 
+def huge_value_copy(vols_dir, tmp_path):
+    """A copy of ``vols_dir`` whose first train value is 1e300: finite but huge
+    (a possible bit flip), it overflows the first training step."""
+    vols = tmp_path / "vols"
+    vols.mkdir()
+    for path in vols_dir.iterdir():
+        (vols / path.name).write_bytes(path.read_bytes())
+    victim = vols / dataio.load_manifest(vols / "manifest.tsv").split("train")[0].path
+    data = bytearray(victim.read_bytes())
+    data[32:40] = struct.pack("<d", 1e300)  # first value of the first volume
+    victim.write_bytes(bytes(data))
+    return vols
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """synth + segment + short train, shared by train/eval/shift tests."""
@@ -189,21 +205,35 @@ class TestTrainEvalShift:
 
     def test_training_that_goes_non_finite_writes_no_weights(self, small_pipeline, tmp_path,
                                                               capsys):
-        # a finite but huge value (a possible bit flip) overflows the first step
-        vols = tmp_path / "vols"
-        vols.mkdir()
-        for path in small_pipeline["vols"].iterdir():
-            (vols / path.name).write_bytes(path.read_bytes())
-        victim = vols / dataio.load_manifest(vols / "manifest.tsv").split("train")[0].path
-        data = bytearray(victim.read_bytes())
-        data[32:40] = struct.pack("<d", 1e300)  # first value of the first volume
-        victim.write_bytes(bytes(data))
+        vols = huge_value_copy(small_pipeline["vols"], tmp_path)
         weights = tmp_path / "m.wgt1"
         assert run("train", "--manifest", str(vols / "manifest.tsv"), "--out", str(weights),
                    "--epochs", "1", "--blocks", "2,4") == 1
         assert ("training went non-finite at epoch 0, batch 0: parameter "
                 "'block0.conv1.weight' holds non-finite values") in capsys.readouterr().err
         assert not weights.exists() and not weights.with_suffix(".history.tsv").exists()
+
+    @pytest.mark.parametrize("level", ["info", "quiet"])
+    def test_numpy_warnings_go_through_the_log(self, small_pipeline, tmp_path, level):
+        # a process of its own, so the forked workers' stderr is the one read
+        vols = huge_value_copy(small_pipeline["vols"], tmp_path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, STWNN_LOG=level, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stwnn.cli", "train", "--manifest",
+             str(vols / "manifest.tsv"), "--out", str(tmp_path / "m.wgt1"),
+             "--epochs", "1", "--blocks", "2,4"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        error = ("ERROR stwnn: training went non-finite at epoch 0, batch 0: parameter "
+                 "'block0.conv1.weight' holds non-finite values")
+        if level == "quiet":
+            assert lines == [error]
+        else:
+            warned = [line for line in lines if "RuntimeWarning" in line]
+            assert warned and all(line.startswith("WARNING py.warnings: ") for line in warned)
+            assert lines[-1] == error
 
     def test_truncated_volume_file_is_named(self, small_pipeline, tmp_path, capsys):
         vols = tmp_path / "vols"
