@@ -99,12 +99,13 @@ class SgdMomentum:
         self.velocities = [np.zeros_like(p.values) for p in self.params]
 
     def step(self):
-        """velocity' = momentum*velocity - lr*grad; param' = param + velocity'."""
-        for i, p in enumerate(self.params):
+        """In place: velocity = momentum*velocity - lr*grad; param += velocity."""
+        for p, v in zip(self.params, self.velocities):
             if p.grad is None:
                 continue
-            self.velocities[i] = self.momentum * self.velocities[i] - self.lr * p.grad
-            p.values = p.values + self.velocities[i]
+            v *= self.momentum
+            v -= self.lr * p.grad
+            p.values += v
 
 
 def sample_loss_graph(model: net.Model, x: np.ndarray, label: int, mix: float) -> Tensor:
@@ -127,7 +128,7 @@ def _check_dataset(dataset, n_classes: int, what: str):
 # inherit it copy-on-write, so a task sends only a sample index and 1/batch.
 _SHARED = None
 
-# glibc mallopt parameters; see ``_bind_worker``
+# glibc mallopt parameters; see ``_reuse_freed_heap``
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
@@ -140,15 +141,11 @@ def _worker_count(batch_size: int, n_samples: int) -> int:
     return min(cores or 1, batch_size, n_samples)
 
 
-def _bind_worker(views):
-    """Pool initializer: point the worker's parameters at the shared buffer's
-    views, which the parent refills before each batch. A sample's graph frees
-    tens of MB at once; glibc would hand that back to the kernel and fault it
-    in again on the next sample, so the worker keeps up to 64 MiB of freed
-    heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
-    model = _SHARED[0]
-    for p, v in zip(model.parameters().values(), views):
-        p.values = v
+def _reuse_freed_heap():
+    """Raise malloc's thresholds (the training pool's initializer). A sample's
+    graph frees tens of MB at once; glibc would hand that back to the kernel and
+    fault it in again on the next sample, so the process keeps up to 64 MiB of
+    freed heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -168,14 +165,16 @@ def _sample_grad(idx: int, inv: float):
     return float(loss.values[0]), [p.grad for p in params]
 
 
-def _shared_views(params):
-    """One float64 view per parameter into one anonymous shared mapping, which
-    forked workers inherit, so parameter values are never pickled."""
+def _share_parameters(params):
+    """Move each ``p.values`` into a float64 view of one anonymous shared
+    mapping, which forked workers inherit, so values are never pickled."""
     sizes = [p.values.size for p in params]
     buf = mmap.mmap(-1, 8 * sum(sizes))
     offsets = np.cumsum([0] + sizes)
-    return [np.frombuffer(buf, dtype=np.float64, count=n, offset=8 * int(off)).reshape(p.shape)
-            for p, n, off in zip(params, sizes, offsets)]
+    for p, n, off in zip(params, sizes, offsets):
+        view = np.frombuffer(buf, dtype=np.float64, count=n, offset=8 * int(off)).reshape(p.shape)
+        np.copyto(view, p.values)
+        p.values = view
 
 
 def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
@@ -187,13 +186,14 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     give identical histories.
 
     Per-sample gradients run on one forked worker per available core (see
-    ``_worker_count``), one task per sample. Workers read the parameters from
-    one anonymous shared buffer that the parent refills before each batch, and
-    the parent adds each sample's gradients into one running sum as they
-    arrive, in batch order, exactly as one ``autodiff.backward`` per sample
-    would. So parameters and history do not depend on the core count, and
-    memory is bounded by one sample per worker, not by the batch. With one
-    worker the same per-sample function runs in this process.
+    ``_worker_count``), one task per sample. For the whole call the parameters
+    live in one anonymous shared buffer that the workers inherit and SGD steps
+    in place. The parent adds each sample's gradients into one running sum as
+    they arrive, in batch order, exactly as one ``autodiff.backward`` per
+    sample would. So parameters and history do not depend on the core count,
+    and memory is bounded by one sample per worker, not by the batch. With one
+    worker the same per-sample function runs in this process. The returned
+    model's parameters are plain arrays, not views of the buffer.
 
     A worker's ``StwnnError`` reaches the caller with its own type; a worker
     that dies becomes a ``StwnnError``, and so does a parameter that turns
@@ -215,7 +215,7 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
     workers = _worker_count(cfg.batch_size, len(xs))
-    views = _shared_views(opt.params) if workers > 1 else None
+    _share_parameters(opt.params)
 
     history = []
     best_oa = -1.0
@@ -225,8 +225,8 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
         # fork, not spawn: a spawned worker would import the package again and
         # receive the whole dataset by pickle on every ``train`` call
         with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                  initializer=_bind_worker, initargs=(views,))
-              if views is not None else contextlib.nullcontext()) as pool:
+                                  initializer=_reuse_freed_heap)
+              if workers > 1 else contextlib.nullcontext()) as pool:
             run = pool.map if pool else map
             for epoch in range(cfg.epochs):
                 rng = np.random.default_rng([cfg.seed, epoch])
@@ -234,9 +234,6 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                 total_loss = 0.0
                 for b, start in enumerate(range(0, len(order), cfg.batch_size)):
                     batch = order[start:start + cfg.batch_size]
-                    if views is not None:
-                        for v, p in zip(views, opt.params):
-                            np.copyto(v, p.values)
                     summed = [None] * len(opt.params)
                     for loss, grads in run(_sample_grad, batch.tolist(),
                                            [1.0 / len(batch)] * len(batch)):
@@ -248,6 +245,7 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                                 summed[i] = g
                             else:
                                 summed[i] += g
+                        grads.clear()   # the next sample runs without this one's arrays
                     for p, s in zip(opt.params, summed):
                         p.grad = s
                     opt.step()

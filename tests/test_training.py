@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, metrics, and the shift probe."""
 
+import mmap
 import multiprocessing
 import os
 import time
@@ -192,6 +193,35 @@ class TestSgdMomentum:
         opt.step()
         assert p.values[0] == 1.5 and opt.velocities[0][0] == 0.0
 
+    @pytest.mark.parametrize("mu, sign", [(0.9, 1.0), (0.0, -1.0)])
+    def test_step_is_in_place_and_exact(self, mu, sign):
+        """Each parameter and velocity array is updated in place, to the same
+        bits as p + (mu*v - lr*g); a parameter without a gradient is left alone."""
+        rng = np.random.default_rng(37)
+        param, grad = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        v0 = sign * np.abs(rng.standard_normal((2, 3)))
+        p, skipped = Tensor(param.copy()), Tensor(rng.standard_normal(4))
+        p.grad = grad
+        opt = tr.SgdMomentum([p, skipped], lr=0.05, momentum=mu)
+        opt.velocities[0][...] = v0
+        arrays = [p.values, skipped.values, *opt.velocities]
+        before = skipped.values.copy()
+        opt.step()
+        assert all(a is b for a, b in zip(arrays, [p.values, skipped.values, *opt.velocities]))
+        velocity = mu * v0 - 0.05 * grad
+        assert np.array_equal(opt.velocities[0], velocity)
+        assert np.array_equal(p.values, param + velocity)
+        assert np.array_equal(skipped.values, before) and not opt.velocities[1].any()
+
+
+def _mapping(a):
+    """The ``mmap`` that array ``a`` is a view of, or None."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    if isinstance(a, memoryview):
+        a = a.obj
+    return a if isinstance(a, mmap.mmap) else None
+
 
 def tiny_dataset(n_per_class, seed=0):
     rng = np.random.default_rng(seed)
@@ -250,6 +280,23 @@ class TestTrainLoop:
         small, large = peak(2), peak(16)
         assert large < small + param_bytes, (
             f"batch 16 peaked at {large / 1e6:.2f} MB, batch 2 at {small / 1e6:.2f} MB")
+
+    def test_one_worker_trains_on_the_shared_mapping(self, monkeypatch):
+        """In-process training builds its graphs on views of one shared mapping,
+        the same parameter path the forked workers take."""
+        monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: 1)
+        seen = []
+
+        def spy(idx, inv):
+            seen.append({_mapping(p.values) for p in tr._SHARED[0].parameters().values()})
+            return _SAMPLE_GRAD(idx, inv)
+
+        monkeypatch.setattr(tr, "_sample_grad", spy)
+        data = tiny_dataset(2)
+        tr.train(tiny_model(), data, data, tr.TrainConfig(epochs=2, batch_size=3, seed=0))
+        assert len(seen) == 8
+        assert all(len(maps) == 1 and None not in maps for maps in seen)
+        assert len({id(m) for maps in seen for m in maps}) == 1
 
     def test_non_finite_parameter_stops_training(self):
         data = tiny_dataset(2)
@@ -334,6 +381,12 @@ class TestTrainWorkers:
         for name, p in serial.parameters().items():
             assert np.array_equal(p.values, forked.parameters()[name].values), name
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returned_parameters_do_not_alias_the_mapping(self, monkeypatch, workers):
+        model, _ = self._train(monkeypatch, workers, epochs=1)
+        for name, p in model.parameters().items():
+            assert _mapping(p.values) is None, name
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         monkeypatch.setattr(tr, "sample_loss_graph", _raise_dimension_error)
