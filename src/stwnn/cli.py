@@ -164,6 +164,26 @@ def _cmd_synth(args, settings: dict) -> int:
     return EXIT_OK
 
 
+def _vol1_names(manifest_path: Path, entries, out_dir: Path) -> list:
+    """The VOL1 name of each streams-manifest entry. Refuses two entries that
+    would share one, and any output (a VOL1 or manifest.tsv) that would land
+    on the input manifest or on a stream it lists."""
+    inputs = {manifest_path.resolve(): str(manifest_path)}
+    inputs.update({(manifest_path.parent / e.path).resolve(): e.path for e in entries})
+    names = {}  # VOL1 name -> stream, in entry order
+    for e in entries:
+        name = Path(e.path).stem + ".vol1"
+        if name in names:
+            raise UsageError(
+                f"streams {names[name]!r} and {e.path!r} would both be written to {name!r}")
+        names[name] = e.path
+    for name in [*names, "manifest.tsv"]:
+        target = (out_dir / name).resolve()
+        if target in inputs:
+            raise UsageError(f"{out_dir / name} would overwrite the input {inputs[target]}")
+    return list(names)
+
+
 def _cmd_segment(args, settings: dict) -> int:
     s = _group(settings, "segment")
     cfg = volumes.SegmentationConfig(window=s["window"], overlap=s["overlap"],
@@ -171,10 +191,11 @@ def _cmd_segment(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     out_dir = Path(s["out"])
+    names = _vol1_names(manifest_path, manifest.entries, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries, failures = [], 0
-    for e in manifest.entries:
+    for e, name in zip(manifest.entries, names):
         signal = csi.amplitude(dataio.load_stream(manifest_path.parent / e.path))
         try:
             vols = volumes.stream_volumes(signal, cfg, label=e.label)
@@ -182,7 +203,6 @@ def _cmd_segment(args, settings: dict) -> int:
             log.warning("skipping %s: %s", e.path, exc)
             failures += 1
             continue
-        name = Path(e.path).stem + ".vol1"
         dataio.save_volumes(out_dir / name, vols)
         entries.append(dataio.ManifestEntry(path=name, label=e.label, split=e.split))
         print(f"{e.path}\tsegments={len(vols) // len(cfg.scales)}\tvolumes={len(vols)}")

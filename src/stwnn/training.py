@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .autodiff import Tensor
+from .csi import amplitude
 from .errors import ConfigError, StwnnError, UsageError, ValidationError
 from .volumes import SegmentationConfig, segment_volumes, stack_channels
 
@@ -116,16 +117,18 @@ def sample_loss_graph(model: net.Model, x: np.ndarray, label: int, mix: float) -
     return combined_loss(g, ad.softmax(logits), probs_m, mix)
 
 
-def _check_dataset(dataset, n_classes: int, what: str):
+def _check_dataset(dataset, config: net.NetworkConfig, what: str):
+    """Refuse an empty set, a label out of range or a sample ``_sample_to_array`` refuses."""
     if not dataset:
         raise UsageError(f"{what} dataset is empty")
-    for _, label in dataset:
-        if not 0 <= int(label) < n_classes:
-            raise ValidationError(f"label {label} out of range for {n_classes} classes")
+    for sample, label in dataset:
+        if not 0 <= int(label) < config.n_classes:
+            raise ValidationError(f"label {label} out of range for {config.n_classes} classes")
+        net._sample_to_array(sample, config.in_channels)
 
 
-# (model, xs, labels, mix) of the running ``train`` call. Forked workers
-# inherit it copy-on-write, so a task sends only a sample index and 1/batch.
+# (model, train_set, mix) of the running ``train`` call, the caller's own set.
+# Forked workers inherit it copy-on-write, so a task sends only a sample index and 1/batch.
 _SHARED = None
 
 # glibc mallopt parameters; see ``_reuse_freed_heap``
@@ -156,11 +159,13 @@ def _reuse_freed_heap():
 def _sample_grad(idx: int, inv: float):
     """(loss, gradient per parameter) of sample ``idx`` of the shared training
     set, its loss scaled by ``inv`` (one over the batch size) before backward."""
-    model, xs, labels, mix = _SHARED
+    model, train_set, mix = _SHARED
+    sample, label = train_set[idx]
     params = list(model.parameters().values())
     for p in params:
         p.grad = None
-    loss = ad.mul_const(sample_loss_graph(model, xs[idx], labels[idx], mix), inv)
+    x = net._sample_to_array(sample, model.config.in_channels)
+    loss = ad.mul_const(sample_loss_graph(model, x, label, mix), inv)
     ad.backward(loss)
     return float(loss.values[0]), [p.grad for p in params]
 
@@ -181,9 +186,11 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     """Optimize in place; returns (model restored to best validation OA, history).
 
     Datasets are sequences of (sample, label); each sample is one stored
-    (C, sub, time, ant) ndarray, as ``volumes.stack_channels`` returns.
-    Shuffling is reseeded per epoch from the config seed, so identical inputs
-    give identical histories.
+    (C, sub, time, ant) ndarray, as ``volumes.stack_channels`` returns. Both
+    are checked whole before the first step, so a bad one leaves the model
+    untouched. Each task reads its sample from the caller's set; the set is
+    never copied. Shuffling is reseeded per epoch from the config seed, so
+    identical inputs give identical histories.
 
     Per-sample gradients run on one forked worker per available core (see
     ``_worker_count``), one task per sample. For the whole call the parameters
@@ -206,21 +213,17 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    n_classes = model.config.n_classes
-    _check_dataset(train_set, n_classes, "train")
-    _check_dataset(val_set, n_classes, "validation")
+    _check_dataset(train_set, model.config, "train")
+    _check_dataset(val_set, model.config, "validation")
 
-    xs = [net._sample_to_array(sample, model.config.in_channels) for sample, _ in train_set]
-    labels = [int(label) for _, label in train_set]
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
-    workers = _worker_count(cfg.batch_size, len(xs))
+    workers = _worker_count(cfg.batch_size, len(train_set))
     _share_parameters(opt.params)
 
     history = []
     best_oa = -1.0
-    best_state = None
-    _SHARED = (model, xs, labels, cfg.mix)
+    _SHARED = (model, train_set, cfg.mix)
     try:
         # fork, not spawn: a spawned worker would import the package again and
         # receive the whole dataset by pickle on every ``train`` call
@@ -230,21 +233,19 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
             run = pool.map if pool else map
             for epoch in range(cfg.epochs):
                 rng = np.random.default_rng([cfg.seed, epoch])
-                order = rng.permutation(len(xs))
+                order = rng.permutation(len(train_set))
                 total_loss = 0.0
                 for b, start in enumerate(range(0, len(order), cfg.batch_size)):
                     batch = order[start:start + cfg.batch_size]
-                    summed = [None] * len(opt.params)
+                    summed = None
                     for loss, grads in run(_sample_grad, batch.tolist(),
                                            [1.0 / len(batch)] * len(batch)):
                         total_loss += loss * len(batch)
-                        for i, g in enumerate(grads):
-                            if g is None:
-                                continue
-                            if summed[i] is None:
-                                summed[i] = g
-                            else:
-                                summed[i] += g
+                        if summed is None:
+                            summed = grads
+                            continue
+                        for s, g in zip(summed, grads):
+                            s += g
                         grads.clear()   # the next sample runs without this one's arrays
                     for p, s in zip(opt.params, summed):
                         p.grad = s
@@ -257,7 +258,7 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                             f"parameter {bad!r} holds non-finite values")
                 val_metrics = evaluate(model, val_set)
                 stats = EpochStats(epoch=epoch,
-                                   train_loss=total_loss / len(xs),
+                                   train_loss=total_loss / len(train_set),
                                    val_accuracy=val_metrics.overall_accuracy)
                 history.append(stats)
                 if stats.val_accuracy > best_oa:
@@ -268,9 +269,8 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     finally:
         _SHARED = None
 
-    if best_state is not None:
-        for name, p in params.items():
-            p.values = best_state[name]
+    for name, p in params.items():
+        p.values = best_state[name]
     return model, history
 
 
@@ -316,8 +316,6 @@ def shift_consistency(model: net.Model, stream, cfg: SegmentationConfig,
                       max_shift: int) -> float:
     """Fraction of window offsets in [-max_shift, +max_shift] whose prediction
     matches the unshifted one, for one recording."""
-    from .csi import amplitude
-
     if max_shift < 0:
         raise UsageError(f"max_shift must be >= 0, got {max_shift}")
     signal = amplitude(stream)

@@ -113,6 +113,44 @@ class TestSegment:
                    "--out", str(tmp_path / "v"), "--window", "32",
                    "--overlap", "0") == 2
 
+    def test_two_streams_sharing_a_stem_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        synth_small(out, per_class="1")
+        manifest = out / "manifest.tsv"
+        first = dataio.load_manifest(manifest).entries[0]
+        (out / "a").mkdir()
+        (out / "a" / first.path).write_bytes((out / first.path).read_bytes())
+        with open(manifest, "a", encoding="utf-8") as f:
+            f.write(f"a/{first.path}\t{first.label}\t{first.split}\n")
+        vols = tmp_path / "v"
+        assert run("segment", "--manifest", str(manifest), "--out", str(vols),
+                   "--window", "32", "--overlap", "0") == 2
+        name = first.path.replace(".csi1", ".vol1")
+        assert (f"streams {first.path!r} and 'a/{first.path}' would both be written "
+                f"to {name!r}") in capsys.readouterr().err
+        assert not vols.exists()
+
+    @pytest.mark.parametrize("clash", ["manifest.tsv", "s.vol1"])
+    def test_output_onto_an_input_is_refused(self, tmp_path, capsys, clash):
+        """``--out`` the streams directory: manifest.tsv would replace the input
+        manifest or, with the manifest renamed, a VOL1 would replace a stream
+        whose file name ends in .vol1."""
+        out = tmp_path / "d"
+        synth_small(out, per_class="1")
+        manifest = out / "manifest.tsv"
+        if clash == "s.vol1":
+            first = dataio.load_manifest(manifest).entries[0]
+            (out / first.path).rename(out / "s.vol1")
+            text = manifest.read_text().replace(first.path, "s.vol1")
+            manifest.unlink()
+            manifest = out / "streams.tsv"
+            manifest.write_text(text)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run("segment", "--manifest", str(manifest), "--out", str(out),
+                   "--window", "32", "--overlap", "0") == 2
+        assert f"{out / clash} would overwrite the input" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
 
 def huge_value_copy(vols_dir, tmp_path):
     """A copy of ``vols_dir`` whose first train value is 1e300: finite but huge

@@ -298,6 +298,35 @@ class TestTrainLoop:
         assert all(len(maps) == 1 and None not in maps for maps in seen)
         assert len({id(m) for maps in seen for m in maps}) == 1
 
+    def test_training_set_is_not_copied(self, monkeypatch):
+        """An in-process call peaks below half the training set's bytes: each
+        task reads its sample from the caller's list, which is never copied."""
+        monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: 1)
+        rng = np.random.default_rng(0)
+        data = [(rng.standard_normal((2, 8, 16, 9)), k % 2) for k in range(64)]
+        cfg = tr.TrainConfig(epochs=1, batch_size=16, seed=0)
+        tr.train(tiny_model(), data[:2], data[:2], cfg)     # one-time allocations out of the way
+        model = tiny_model()
+        tracemalloc.start()
+        try:
+            tr.train(model, data, data[:2], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data_bytes = sum(x.nbytes for x, _ in data)
+        assert peak < data_bytes / 2, (
+            f"peaked at {peak / 1e6:.2f} MB over a {data_bytes / 1e6:.2f} MB training set")
+
+    def test_bad_validation_sample_rejected_before_any_step(self):
+        model = tiny_model()
+        before = {k: p.values.copy() for k, p in model.parameters().items()}
+        data = tiny_dataset(2)
+        val = [data[0], (np.zeros((3, 4, 6, 9)), 1)]
+        with pytest.raises(DimensionError, match="sample has 3 channels, model expects 2"):
+            tr.train(model, data, val, tr.TrainConfig(epochs=1, batch_size=2, lr=0.1))
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.values, before[k]), k
+
     def test_non_finite_parameter_stops_training(self):
         data = tiny_dataset(2)
         data[1][0][0, 0, 0, 0] = 1e300
