@@ -13,7 +13,8 @@ line, "#" comments; any key of the table is accepted by every subcommand, so
 one file can serve the whole pipeline; any other key, or a repeated one, is
 an error. The STWNN_LOG environment variable (debug/info/warning/quiet)
 selects log verbosity. Exit codes: 0 success, 1 runtime failure (a corrupt
-file, named in the message, or running out of memory), 2 usage or config error.
+file, named in the message, or running out of memory), 2 usage or config error,
+such as an output that would land on an input or on another output.
 """
 
 from __future__ import annotations
@@ -164,24 +165,24 @@ def _cmd_synth(args, settings: dict) -> int:
     return EXIT_OK
 
 
-def _vol1_names(manifest_path: Path, entries, out_dir: Path) -> list:
-    """The VOL1 name of each streams-manifest entry. Refuses two entries that
-    would share one, and any output (a VOL1 or manifest.tsv) that would land
-    on the input manifest or on a stream it lists."""
-    inputs = {manifest_path.resolve(): str(manifest_path)}
-    inputs.update({(manifest_path.parent / e.path).resolve(): e.path for e in entries})
-    names = {}  # VOL1 name -> stream, in entry order
-    for e in entries:
-        name = Path(e.path).stem + ".vol1"
-        if name in names:
-            raise UsageError(
-                f"streams {names[name]!r} and {e.path!r} would both be written to {name!r}")
-        names[name] = e.path
-    for name in [*names, "manifest.tsv"]:
-        target = (out_dir / name).resolve()
-        if target in inputs:
-            raise UsageError(f"{out_dir / name} would overwrite the input {inputs[target]}")
-    return list(names)
+def _manifest_files(manifest_path: Path, manifest) -> list:
+    """The manifest's own path and the path of every file it lists."""
+    return [manifest_path, *(manifest_path.parent / e.path for e in manifest.entries)]
+
+
+def _refuse_overwrites(inputs, outputs) -> None:
+    """Refuse two outputs on one path, or an output on an input, before any write.
+    Each output is (path, kind, name) of what writes it, such as ("stream", "a.csi1")."""
+    sources = {Path(p).resolve(): p for p in inputs}
+    writers = {}
+    for path, kind, name in outputs:
+        target = Path(path).resolve()
+        if target in writers:
+            raise UsageError(f"{kind}s {writers[target]!r} and {name!r} would both be "
+                             f"written to {Path(path).name!r}")
+        if target in sources:
+            raise UsageError(f"{path} would overwrite the input {sources[target]}")
+        writers[target] = name
 
 
 def _cmd_segment(args, settings: dict) -> int:
@@ -191,7 +192,10 @@ def _cmd_segment(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     out_dir = Path(s["out"])
-    names = _vol1_names(manifest_path, manifest.entries, out_dir)
+    names = [Path(e.path).stem + ".vol1" for e in manifest.entries]
+    _refuse_overwrites(_manifest_files(manifest_path, manifest), [
+        *((out_dir / name, "stream", e.path) for e, name in zip(manifest.entries, names)),
+        (out_dir / "manifest.tsv", "output", "manifest.tsv")])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries, failures = [], 0
@@ -206,8 +210,9 @@ def _cmd_segment(args, settings: dict) -> int:
         dataio.save_volumes(out_dir / name, vols)
         entries.append(dataio.ManifestEntry(path=name, label=e.label, split=e.split))
         print(f"{e.path}\tsegments={len(vols) // len(cfg.scales)}\tvolumes={len(vols)}")
-    if not entries:
-        raise UsageError("no stream produced any volume")
+    for split in ("train", "test"):
+        if not any(e.split == split for e in entries):
+            raise UsageError(f"no {split} stream produced any volume")
     vol_manifest = dataio.DatasetManifest(entries=entries, n_classes=manifest.n_classes,
                                           segmentation=cfg)
     dataio.write_manifest(out_dir / "manifest.tsv", vol_manifest)
@@ -249,6 +254,10 @@ def _cmd_train(args, settings: dict) -> int:
     if not val_set:
         val_set = train_set
         log.info("no val split found; validating on the train split")
+    out_path = Path(args.out)
+    history_path = out_path.with_suffix(".history.tsv")
+    _refuse_overwrites(_manifest_files(manifest_path, manifest), [
+        (out_path, "output", "weights"), (history_path, "output", "history")])
 
     model = network.build_model(network.NetworkConfig(
         n_classes=manifest.n_classes, in_channels=len(manifest.segmentation.scales),
@@ -258,14 +267,11 @@ def _cmd_train(args, settings: dict) -> int:
     for stats in history:
         print(f"epoch {stats.epoch}\tloss {stats.train_loss:.6f}\tval_oa {stats.val_accuracy:.4f}")
 
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     dataio.save_weights(out_path, model, manifest.segmentation)
-    history_path = out_path.with_suffix(".history.tsv")
-    with open(history_path, "w", encoding="utf-8") as f:
-        f.write("epoch\ttrain_loss\tval_oa\n")
-        for stats in history:
-            f.write(f"{stats.epoch}\t{stats.train_loss:.12g}\t{stats.val_accuracy:.12g}\n")
+    dataio.write_table(history_path, [("epoch", "train_loss", "val_oa")] + [
+        (stats.epoch, f"{stats.train_loss:.12g}", f"{stats.val_accuracy:.12g}")
+        for stats in history])
     print(f"wrote weights to {out_path} and history to {history_path}")
     return EXIT_OK
 
@@ -280,14 +286,11 @@ def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Pat
         f.write("confusion matrix (rows = true class):\n")
         for row in metrics.confusion:
             f.write("  " + " ".join(f"{v:6d}" for v in row) + "\n")
-    with open(table_path, "w", encoding="utf-8") as f:
-        f.write("metric\tclass\tvalue\n")
-        f.write(f"oa\t-\t{metrics.overall_accuracy:.12g}\n")
-        for c in range(n):
-            f.write(f"class_accuracy\t{c}\t{metrics.per_class_accuracy[c]:.12g}\n")
-        for t in range(n):
-            for p in range(n):
-                f.write(f"confusion\t{t},{p}\t{metrics.confusion[t, p]}\n")
+    dataio.write_table(table_path, [
+        ("metric", "class", "value"), ("oa", "-", f"{metrics.overall_accuracy:.12g}"),
+        *(("class_accuracy", c, f"{metrics.per_class_accuracy[c]:.12g}") for c in range(n)),
+        *(("confusion", f"{t},{p}", metrics.confusion[t, p])
+          for t in range(n) for p in range(n))])
 
 
 def _cmd_eval(args, settings: dict) -> int:
@@ -301,9 +304,11 @@ def _cmd_eval(args, settings: dict) -> int:
                              ("target_shape", cut.target_shape, trained.target_shape)):
         if have != want:
             raise CompatibilityError(f"the volumes manifest has {name} {have}, the weights {want}")
-    metrics = training.evaluate(model, test_set)
     report = Path(args.report) if args.report else Path(args.weights).with_suffix(".report.txt")
     table = Path(args.metrics) if args.metrics else Path(args.weights).with_suffix(".metrics.tsv")
+    _refuse_overwrites([*_manifest_files(manifest_path, manifest), args.weights], [
+        (report, "output", "report"), (table, "output", "metrics")])
+    metrics = training.evaluate(model, test_set)
     _write_metrics(metrics, report, table)
     print(f"overall accuracy {metrics.overall_accuracy:.4f}")
     print(f"wrote report to {report} and metrics to {table}")
@@ -314,17 +319,17 @@ def _cmd_shift(args, settings: dict) -> int:
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     model, cfg = dataio.load_weights(args.weights)
+    out = Path(args.out) if args.out else manifest_path.parent / "shift_agreement.tsv"
+    _refuse_overwrites([*_manifest_files(manifest_path, manifest), args.weights],
+                       [(out, "output", "table")])
 
     rows = []
     for e in manifest.split("test"):
         stream = dataio.load_stream(manifest_path.parent / e.path)
         agreement = training.shift_consistency(model, stream, cfg, args.max_shift)
         rows.append((e.path, agreement))
-    out = Path(args.out) if args.out else manifest_path.parent / "shift_agreement.tsv"
-    with open(out, "w", encoding="utf-8") as f:
-        f.write("stream\tagreement\n")
-        for path, agreement in rows:
-            f.write(f"{path}\t{agreement:.12g}\n")
+    dataio.write_table(out, [("stream", "agreement")]
+                       + [(path, f"{agreement:.12g}") for path, agreement in rows])
     mean = sum(a for _, a in rows) / len(rows)
     print(f"mean shift agreement {mean:.4f} over {len(rows)} streams")
     print(f"wrote table to {out}")

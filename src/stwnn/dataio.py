@@ -37,6 +37,9 @@ Manifests are UTF-8 text: "#" starts a comment, entry lines are
 (each once) are "@n_classes<TAB>n" and, in a volumes manifest,
 "@segmentation<TAB>window<TAB>overlap<TAB>scales<TAB>target" (comma lists).
 
+Tables (a manifest, and the CLI's history, metrics and shift files) are
+written by ``write_table``: UTF-8 text, one row per line, fields tab-joined.
+
 Every format or corruption error the four loaders raise starts with the path
 of the file it is about.
 """
@@ -384,13 +387,16 @@ def load_manifest(path) -> DatasetManifest:
                            segmentation=directives.get("segmentation"))
 
 
-def write_manifest(path, manifest: DatasetManifest) -> None:
+def write_table(path, rows) -> None:
+    """Write each row as its fields' ``str`` joined by tabs, one row per line."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"@n_classes\t{manifest.n_classes}\n")
-        seg = manifest.segmentation
-        if seg is not None:
-            f.write(f"@segmentation\t{seg.window}\t{seg.overlap}\t"
-                    f"{','.join(map(str, seg.scales))}\t"
-                    f"{','.join(map(str, seg.target_shape))}\n")
-        for e in manifest.entries:
-            f.write(f"{e.path}\t{e.label}\t{e.split}\n")
+        f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_manifest(path, manifest: DatasetManifest) -> None:
+    rows = [("@n_classes", manifest.n_classes)]
+    seg = manifest.segmentation
+    if seg is not None:
+        rows.append(("@segmentation", seg.window, seg.overlap, ",".join(map(str, seg.scales)),
+                     ",".join(map(str, seg.target_shape))))
+    write_table(path, rows + [(e.path, e.label, e.split) for e in manifest.entries])

@@ -3,6 +3,7 @@
 import filecmp
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from stwnn import cli, dataio
+from stwnn import cli, dataio, training
 from stwnn.volumes import SegmentationConfig, Volume3D
 
 
@@ -130,6 +131,20 @@ class TestSegment:
                 f"to {name!r}") in capsys.readouterr().err
         assert not vols.exists()
 
+    def test_a_split_left_without_volumes_is_refused(self, tmp_path, capsys):
+        """Every train stream shorter than the window: a manifest of the other
+        splits alone is one that train refuses, so none is written."""
+        out, short = tmp_path / "d", tmp_path / "short"
+        synth_small(out, per_class="1")
+        synth_small(short, per_class="1", duration="0.2")  # 20 packets < window 32
+        for e in dataio.load_manifest(out / "manifest.tsv").split("train"):
+            (out / e.path).write_bytes((short / e.path).read_bytes())
+        vols = tmp_path / "v"
+        assert run("segment", "--manifest", str(out / "manifest.tsv"), "--out", str(vols),
+                   "--window", "32", "--overlap", "0") == 2
+        assert "no train stream produced any volume" in capsys.readouterr().err
+        assert not (vols / "manifest.tsv").exists()
+
     @pytest.mark.parametrize("clash", ["manifest.tsv", "s.vol1"])
     def test_output_onto_an_input_is_refused(self, tmp_path, capsys, clash):
         """``--out`` the streams directory: manifest.tsv would replace the input
@@ -150,6 +165,21 @@ class TestSegment:
                    "--window", "32", "--overlap", "0") == 2
         assert f"{out / clash} would overwrite the input" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
+def test_metrics_table_bytes(tmp_path):
+    metrics = training.Metrics(per_class_accuracy=np.array([0.5, 2 / 3]),
+                               overall_accuracy=0.6, confusion=np.array([[1, 1], [1, 2]]))
+    table = tmp_path / "metrics.tsv"
+    cli._write_metrics(metrics, tmp_path / "report.txt", table)
+    assert table.read_bytes() == (b"metric\tclass\tvalue\n"
+                                  b"oa\t-\t0.6\n"
+                                  b"class_accuracy\t0\t0.5\n"
+                                  b"class_accuracy\t1\t0.666666666667\n"
+                                  b"confusion\t0,0\t1\n"
+                                  b"confusion\t0,1\t1\n"
+                                  b"confusion\t1,0\t1\n"
+                                  b"confusion\t1,1\t2\n")
 
 
 def huge_value_copy(vols_dir, tmp_path):
@@ -214,6 +244,39 @@ class TestTrainEvalShift:
         rows = out.read_text().strip().splitlines()[1:]
         assert rows
         assert all(float(r.split("\t")[1]) == 1.0 for r in rows)
+
+    @pytest.mark.parametrize("command, flag, victim", [
+        ("train", "--out", "vols/manifest.tsv"),
+        ("eval", "--report", "model.wgt1"),
+        ("eval", "--metrics", "vols/manifest.tsv"),
+        ("shift", "--out", "data/manifest.tsv"),
+    ])
+    def test_output_onto_an_input_is_refused(self, small_pipeline, tmp_path, capsys,
+                                             command, flag, victim):
+        root = tmp_path / "copy"
+        for name in ("data", "vols"):
+            shutil.copytree(small_pipeline[name], root / name)
+        shutil.copy(small_pipeline["weights"], root / "model.wgt1")
+        manifest = root / ("data" if command == "shift" else "vols") / "manifest.tsv"
+        argv = [command, "--manifest", str(manifest), flag, str(root / victim)]
+        if command == "train":
+            argv += ["--epochs", "1", "--blocks", "2", "--feature-dim", "4"]
+        else:
+            argv += ["--weights", str(root / "model.wgt1")]
+        before = (root / victim).read_bytes()
+        assert run(*argv) == 2
+        assert f"{root / victim} would overwrite the input" in capsys.readouterr().err
+        assert (root / victim).read_bytes() == before
+
+    def test_eval_report_and_metrics_on_one_path_are_refused(self, small_pipeline, tmp_path,
+                                                              capsys):
+        both = tmp_path / "out.tsv"
+        assert run("eval", "--manifest", str(small_pipeline["vols"] / "manifest.tsv"),
+                   "--weights", str(small_pipeline["weights"]),
+                   "--report", str(both), "--metrics", str(both)) == 2
+        assert ("outputs 'report' and 'metrics' would both be written to 'out.tsv'"
+                in capsys.readouterr().err)
+        assert not both.exists()
 
     def test_eval_mismatched_weights_is_usage_error(self, small_pipeline, tmp_path):
         # weights trained for 2 classes, manifest declaring 3

@@ -439,3 +439,25 @@ class TestManifest:
         assert path.read_text().splitlines()[:2] == ["@n_classes\t2",
                                                      "@segmentation\t32\t8\t1,2\t12,16,9"]
         assert dataio.load_manifest(path) == manifest
+
+    def test_written_bytes(self, tmp_path):
+        manifest = dataio.DatasetManifest(
+            entries=[dataio.ManifestEntry("a.vol1", 0, "train"),
+                     dataio.ManifestEntry("sub/b.vol1", 1, "val"),
+                     dataio.ManifestEntry("c.vol1", 2, "test")],
+            n_classes=3, segmentation=SegmentationConfig(
+                window=32, overlap=8, scales=(1, 2, 4), target_shape=(30, 32, 9)))
+        path = tmp_path / "manifest.tsv"
+        dataio.write_manifest(path, manifest)
+        assert path.read_bytes() == (b"@n_classes\t3\n"
+                                     b"@segmentation\t32\t8\t1,2,4\t30,32,9\n"
+                                     b"a.vol1\t0\ttrain\n"
+                                     b"sub/b.vol1\t1\tval\n"
+                                     b"c.vol1\t2\ttest\n")
+
+
+class TestWriteTable:
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        dataio.write_table(path, [("name", "n"), ("caf\u00e9", 3), (-1, "x,y")])
+        assert path.read_bytes() == b"name\tn\ncaf\xc3\xa9\t3\n-1\tx,y\n"
