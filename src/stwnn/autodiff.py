@@ -25,6 +25,14 @@ views, and the input gradient is the same tap-GEMM correlation of the output
 gradient with flipped kernels (the transposed-convolution identity). Strides
 keep every s-th position of the stride-1 result. These GEMMs run on one BLAS
 thread (``_one_blas_thread``).
+
+OpenBLAS stops its helper threads before every ``fork``, in the parent and in
+the child, and the next call that sets its thread count starts them again; a
+restarted helper spins for about 0.1 s before it sleeps. So a process that
+forks workers should hold the count at 1 across the fork (``training.train``
+enters ``_one_blas_thread`` around its pool): a conv then sets no count in the
+workers, and the pool restarts once, in the parent, when the caller's count
+comes back.
 """
 
 from __future__ import annotations
@@ -195,9 +203,10 @@ def weighted_sum(weights: Tensor, vectors) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at exactly 0 is 0
+    """max(x, 0): -0.0 gives +0.0 and NaN stays NaN. The subgradient at exactly
+    0 is 0, and at NaN it is 0 too."""
     mask = a.values > 0.0
-    return _result(np.where(mask, a.values, 0.0), (a,), lambda g: (g * mask,))
+    return _result(np.maximum(a.values, 0.0), (a,), lambda g: (g * mask,))
 
 
 def tanh_act(a: Tensor) -> Tensor:
@@ -325,9 +334,17 @@ def _one_blas_thread():
     A conv's tap GEMMs are small (M = C_out, K = C_in): a second OpenBLAS
     thread makes them under 10% faster on an idle 2-core host, but each call
     waits for it, so when another process holds that core a conv runs up to
-    2.5x slower and its time follows the host's load."""
+    2.5x slower and its time follows the host's load.
+
+    With the count already 1 it sets nothing: every set restarts the helper
+    threads a ``fork`` stopped, so a forked worker that inherits a count of 1
+    never starts them. The caller's count comes back on exit, which in a
+    process that forked starts its helpers once."""
     get, set_ = _OPENBLAS_THREADS or (lambda: 1, lambda n: None)
     before = get()
+    if before == 1:
+        yield
+        return
     set_(1)
     try:
         yield

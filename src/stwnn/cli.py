@@ -23,6 +23,7 @@ import argparse
 import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -199,20 +200,25 @@ def _cmd_segment(args, settings: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries, failures = [], 0
-    for e, name in zip(manifest.entries, names):
-        signal = csi.amplitude(dataio.load_stream(manifest_path.parent / e.path))
-        try:
-            vols = volumes.stream_volumes(signal, cfg, label=e.label)
-        except InsufficientDataError as exc:
-            log.warning("skipping %s: %s", e.path, exc)
-            failures += 1
-            continue
-        dataio.save_volumes(out_dir / name, vols)
-        entries.append(dataio.ManifestEntry(path=name, label=e.label, split=e.split))
-        print(f"{e.path}\tsegments={len(vols) // len(cfg.scales)}\tvolumes={len(vols)}")
-    for split in ("train", "test"):
-        if not any(e.split == split for e in entries):
-            raise UsageError(f"no {split} stream produced any volume")
+    # every VOL1 is written into a fresh directory inside --out and moved into
+    # place only once the run can succeed, so a refused run leaves none behind
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".segment-") as staging:
+        for e, name in zip(manifest.entries, names):
+            signal = csi.amplitude(dataio.load_stream(manifest_path.parent / e.path))
+            try:
+                vols = volumes.stream_volumes(signal, cfg, label=e.label)
+            except InsufficientDataError as exc:
+                log.warning("skipping %s: %s", e.path, exc)
+                failures += 1
+                continue
+            dataio.save_volumes(Path(staging) / name, vols)
+            entries.append(dataio.ManifestEntry(path=name, label=e.label, split=e.split))
+            print(f"{e.path}\tsegments={len(vols) // len(cfg.scales)}\tvolumes={len(vols)}")
+        for split in ("train", "test"):
+            if not any(e.split == split for e in entries):
+                raise UsageError(f"no {split} stream produced any volume")
+        for e in entries:
+            os.replace(Path(staging) / e.path, out_dir / e.path)
     vol_manifest = dataio.DatasetManifest(entries=entries, n_classes=manifest.n_classes,
                                           segmentation=cfg)
     dataio.write_manifest(out_dir / "manifest.tsv", vol_manifest)

@@ -127,8 +127,9 @@ def _check_dataset(dataset, config: net.NetworkConfig, what: str):
         net._sample_to_array(sample, config.in_channels)
 
 
-# (model, train_set, mix) of the running ``train`` call, the caller's own set.
-# Forked workers inherit it copy-on-write, so a task sends only a sample index and 1/batch.
+# (model, train_set, mix, val_set) of the running ``train`` call, the caller's own
+# sets. Forked workers inherit it copy-on-write, so a task sends only a sample index
+# (and 1/batch).
 _SHARED = None
 
 # glibc mallopt parameters; see ``_reuse_freed_heap``
@@ -159,7 +160,7 @@ def _reuse_freed_heap():
 def _sample_grad(idx: int, inv: float):
     """(loss, gradient per parameter) of sample ``idx`` of the shared training
     set, its loss scaled by ``inv`` (one over the batch size) before backward."""
-    model, train_set, mix = _SHARED
+    model, train_set, mix, _ = _SHARED
     sample, label = train_set[idx]
     params = list(model.parameters().values())
     for p in params:
@@ -168,6 +169,13 @@ def _sample_grad(idx: int, inv: float):
     loss = ad.mul_const(sample_loss_graph(model, x, label, mix), inv)
     ad.backward(loss)
     return float(loss.values[0]), [p.grad for p in params]
+
+
+def _val_pred(idx: int) -> int:
+    """Plain-branch class index of sample ``idx`` of the shared validation set."""
+    model, _, _, val_set = _SHARED
+    _, probs, _ = net.forward(model, val_set[idx][0])
+    return int(np.argmax(probs))
 
 
 def _share_parameters(params):
@@ -200,7 +208,13 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     sample would. So parameters and history do not depend on the core count,
     and memory is bounded by one sample per worker, not by the batch. With one
     worker the same per-sample function runs in this process. The returned
-    model's parameters are plain arrays, not views of the buffer.
+    model's parameters are plain arrays, not views of the buffer. Each epoch's
+    validation forwards run on the same workers, one task per sample, and
+    their predictions are scored in the parent.
+
+    BLAS runs on one thread for the whole call (``autodiff._one_blas_thread``),
+    set before the pool forks, so no worker restarts OpenBLAS's helper threads;
+    the caller's thread count comes back on return.
 
     A worker's ``StwnnError`` reaches the caller with its own type; a worker
     that dies becomes a ``StwnnError``, and so does a parameter that turns
@@ -223,13 +237,15 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
 
     history = []
     best_oa = -1.0
-    _SHARED = (model, train_set, cfg.mix)
+    val_labels = [int(label) for _, label in val_set]
+    _SHARED = (model, train_set, cfg.mix, val_set)
     try:
         # fork, not spawn: a spawned worker would import the package again and
         # receive the whole dataset by pickle on every ``train`` call
-        with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                  initializer=_reuse_freed_heap)
-              if workers > 1 else contextlib.nullcontext()) as pool:
+        with ad._one_blas_thread(), \
+                (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_reuse_freed_heap)
+                 if workers > 1 else contextlib.nullcontext()) as pool:
             run = pool.map if pool else map
             for epoch in range(cfg.epochs):
                 rng = np.random.default_rng([cfg.seed, epoch])
@@ -256,7 +272,9 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                         raise StwnnError(
                             f"training went non-finite at epoch {epoch}, batch {b}: "
                             f"parameter {bad!r} holds non-finite values")
-                val_metrics = evaluate(model, val_set)
+                val_metrics = confusion_metrics(
+                    val_labels, list(run(_val_pred, range(len(val_set)))),
+                    model.config.n_classes)
                 stats = EpochStats(epoch=epoch,
                                    train_loss=total_loss / len(train_set),
                                    val_accuracy=val_metrics.overall_accuracy)

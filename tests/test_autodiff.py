@@ -111,6 +111,16 @@ class TestConv3d:
             raise RuntimeError
         assert count == [4]
 
+    def test_one_blas_thread_already_set_is_left_alone(self, monkeypatch):
+        """With the count already 1 a conv sets none: each set would restart
+        the OpenBLAS helper threads that a fork stopped."""
+        calls = []
+        monkeypatch.setattr(ad, "_OPENBLAS_THREADS", (lambda: 1, calls.append))
+        x = Tensor(np.ones((2, 3, 3, 3)), requires_grad=True)
+        k = Tensor(np.ones((2, 2, 3, 3, 3)), requires_grad=True)
+        ad.backward(ad.scalar_sum(ad.conv3d(x, k, Tensor(np.zeros(2)), padding=1)))
+        assert calls == []
+
     def test_bundled_openblas_thread_count(self):
         if ad._OPENBLAS_THREADS is None:
             pytest.skip("numpy links no OpenBLAS bundled in its wheel")
@@ -261,6 +271,11 @@ class TestActivations:
     def test_relu(self):
         out = ad.relu(Tensor(np.array([1.0, -1.0])))
         np.testing.assert_array_equal(out.values, [1.0, 0.0])
+
+    def test_relu_keeps_nan_and_gives_positive_zero(self):
+        out = ad.relu(Tensor(np.array([np.nan, -0.0, -1.0, 2.0]))).values
+        np.testing.assert_array_equal(out, [np.nan, 0.0, 0.0, 2.0])
+        assert not np.signbit(out[1])
 
     def test_softmax_no_overflow(self):
         out = ad.softmax(Tensor(np.array([1000.0, 0.0])))

@@ -144,6 +144,24 @@ class TestSegment:
                    "--window", "32", "--overlap", "0") == 2
         assert "no train stream produced any volume" in capsys.readouterr().err
         assert not (vols / "manifest.tsv").exists()
+        assert list(vols.iterdir()) == []
+
+    def test_a_corrupt_later_stream_leaves_no_volume(self, tmp_path, capsys):
+        """A corrupt last stream: exit 1, no VOL1 of this run in --out, and one
+        left there by an earlier run keeps its bytes."""
+        out = tmp_path / "d"
+        synth_small(out, per_class="1")
+        last = dataio.load_manifest(out / "manifest.tsv").entries[-1]
+        (out / last.path).write_bytes(b"CSI1")
+        vols = tmp_path / "v"
+        vols.mkdir()
+        earlier = vols / last.path.replace(".csi1", ".vol1")
+        earlier.write_bytes(b"kept")
+        assert run("segment", "--manifest", str(out / "manifest.tsv"), "--out", str(vols),
+                   "--window", "32", "--overlap", "0") == 1
+        assert last.path in capsys.readouterr().err
+        assert [p.name for p in vols.iterdir()] == [earlier.name]
+        assert earlier.read_bytes() == b"kept"
 
     @pytest.mark.parametrize("clash", ["manifest.tsv", "s.vol1"])
     def test_output_onto_an_input_is_refused(self, tmp_path, capsys, clash):

@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, metrics, and the shift probe."""
 
+import contextlib
 import mmap
 import multiprocessing
 import os
@@ -344,6 +345,29 @@ class TestTrainLoop:
                                   f"parameter {first!r} holds non-finite values")
         assert tr._SHARED is None
 
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_blas_count_is_set_once_and_handed_back(self, monkeypatch, finite):
+        """One BLAS thread for the whole call, so no conv inside it sets the
+        count; the caller's count comes back, also when training goes
+        non-finite."""
+        count, calls = [4], []
+
+        def set_threads(n):
+            calls.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(ad, "_OPENBLAS_THREADS", (lambda: count[0], set_threads))
+        monkeypatch.setattr(tr, "_worker_count", lambda batch_size, n_samples: 1)
+        data = tiny_dataset(2)
+        if not finite:
+            data[1][0][0, 0, 0, 0] = 1e300
+        cfg = tr.TrainConfig(epochs=2, batch_size=2, lr=0.01, seed=0)
+        with (contextlib.nullcontext() if finite
+              else pytest.raises(StwnnError, match="non-finite")):
+            tr.train(tiny_model(), data, data, cfg)
+        assert calls == [1, 4]
+        assert count == [4]
+
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(epochs=1, batch_size=1)
         with pytest.raises(UsageError):
@@ -393,6 +417,20 @@ def _die(*args):
     os._exit(1)
 
 
+def _sample_grad_on_one_thread(idx, inv):
+    """``_sample_grad`` that fails unless its process runs a single thread
+    after the sample's forward and backward."""
+    out = _SAMPLE_GRAD(idx, inv)
+    threads = len(os.listdir("/proc/self/task"))
+    if threads != 1:
+        raise DimensionError(f"worker {os.getpid()} runs {threads} threads")
+    return out
+
+
+def _evaluate_is_not_called(*args):
+    raise AssertionError("validation ran in the parent through training.evaluate")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="sample-parallel training forks its workers")
 class TestTrainWorkers:
@@ -423,6 +461,27 @@ class TestTrainWorkers:
             self._train(monkeypatch, 2, epochs=1)
         assert multiprocessing.active_children() == []
         assert tr._SHARED is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or ad._OPENBLAS_THREADS is None,
+                        reason="needs /proc and the OpenBLAS bundled in numpy's wheel")
+    def test_a_forked_worker_runs_one_thread(self, monkeypatch):
+        """The workers inherit one BLAS thread, so none restarts the OpenBLAS
+        helper threads that the fork stopped; two threads in the caller make
+        the test independent of the host's core count."""
+        get, set_ = ad._OPENBLAS_THREADS
+        before = get()
+        set_(2)
+        try:
+            monkeypatch.setattr(tr, "_sample_grad", _sample_grad_on_one_thread)
+            self._train(monkeypatch, 2, epochs=1)
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_validation_runs_on_the_workers(self, monkeypatch):
+        monkeypatch.setattr(tr, "evaluate", _evaluate_is_not_called)
+        _, history = self._train(monkeypatch, 2)
+        assert len(history) == 2
 
     def test_dead_worker_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(tr, "sample_loss_graph", _die)
