@@ -134,6 +134,8 @@ _SHARED = None
 
 # glibc mallopt parameters; see ``_reuse_freed_heap``
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Linux prctl option; see ``_worker_init``
+_PR_SET_PDEATHSIG = 1
 
 
 def _worker_count(batch_size: int, n_samples: int) -> int:
@@ -146,15 +148,32 @@ def _worker_count(batch_size: int, n_samples: int) -> int:
 
 
 def _reuse_freed_heap():
-    """Raise malloc's thresholds (the training pool's initializer). A sample's
-    graph frees tens of MB at once; glibc would hand that back to the kernel and
-    fault it in again on the next sample, so the process keeps up to 64 MiB of
-    freed heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
+    """Raise malloc's thresholds (run by ``_worker_init``). A sample's graph
+    frees tens of MB at once; glibc would hand that back to the kernel and fault
+    it in again on the next sample, so the process keeps up to 64 MiB of freed
+    heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _worker_init(parent_pid: int):
+    """The training pool's initializer: the worker asks Linux for SIGTERM when
+    its parent goes (a no-op without ``prctl``), exits at once if the parent is
+    already gone, then runs ``_reuse_freed_heap``. The signal follows the thread
+    that forked: with the fork context, Python 3.11's ``ProcessPoolExecutor``
+    starts every worker from the thread that first submits, which is
+    ``train``'s caller, and that thread outlives the pool."""
+    import signal   # like ``train``'s pool imports: commands which never train skip it
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent_pid:
+        os._exit(1)
+    _reuse_freed_heap()
 
 
 def _sample_grad(idx: int, inv: float):
@@ -219,7 +238,10 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     A worker's ``StwnnError`` reaches the caller with its own type; a worker
     that dies becomes a ``StwnnError``, and so does a parameter that turns
     non-finite after an SGD step (naming the epoch, the batch and the first
-    such parameter in ``parameters()`` order).
+    such parameter in ``parameters()`` order). A call that raises leaves the
+    model as it was given: each parameter is the caller's own array again,
+    with its values from before the call. The workers exit when the calling
+    process is killed (``_worker_init``).
     """
     global _SHARED
     # imported here, so that commands which never train do not load them
@@ -233,18 +255,19 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
     workers = _worker_count(cfg.batch_size, len(train_set))
-    _share_parameters(opt.params)
-
+    # the caller's own arrays (``_share_parameters`` only reads them), until the run completes
+    restore = {name: p.values for name, p in params.items()}
     history = []
     best_oa = -1.0
     val_labels = [int(label) for _, label in val_set]
     _SHARED = (model, train_set, cfg.mix, val_set)
     try:
+        _share_parameters(opt.params)
         # fork, not spawn: a spawned worker would import the package again and
         # receive the whole dataset by pickle on every ``train`` call
         with ad._one_blas_thread(), \
                 (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_reuse_freed_heap)
+                                     initializer=_worker_init, initargs=(os.getpid(),))
                  if workers > 1 else contextlib.nullcontext()) as pool:
             run = pool.map if pool else map
             for epoch in range(cfg.epochs):
@@ -282,13 +305,13 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
                 if stats.val_accuracy > best_oa:
                     best_oa = stats.val_accuracy
                     best_state = {name: p.values.copy() for name, p in params.items()}
+        restore = best_state
     except BrokenProcessPool as exc:
         raise StwnnError(f"a training worker process died: {exc}") from exc
     finally:
         _SHARED = None
-
-    for name, p in params.items():
-        p.values = best_state[name]
+        for name, p in params.items():
+            p.values = restore[name]
     return model, history
 
 

@@ -16,6 +16,8 @@ from stwnn import csi, dataio, network as net, training as tr, volumes as vol
 from stwnn.autodiff import Tensor
 from stwnn.errors import CorruptionError, FormatError, StwnnError
 
+from helpers import naive_conv3d
+
 
 def _report(name, ok, detail=""):
     print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -166,31 +168,6 @@ def test_c02_segmentation_matches_brute_force():
 # criterion 3: convolution oracle
 # ---------------------------------------------------------------------------
 
-def _naive_conv3d(xv, kv, bv, stride, pad):
-    c_in, d, h, w = xv.shape
-    c_out, _, kd, kh, kw = kv.shape
-    sd, sh, sw = stride
-    pd, ph, pw = pad
-    xp = np.pad(xv, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    od = (d + 2 * pd - kd) // sd + 1
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    out = np.zeros((c_out, od, oh, ow))
-    for co in range(c_out):
-        for i in range(od):
-            for j in range(oh):
-                for l in range(ow):
-                    acc = bv[co]
-                    for a in range(kd):
-                        for b in range(kh):
-                            for c in range(kw):
-                                for ci in range(c_in):
-                                    acc += (kv[co, ci, a, b, c]
-                                            * xp[ci, i * sd + a, j * sh + b, l * sw + c])
-                    out[co, i, j, l] = acc
-    return out
-
-
 def test_c03_convolution_oracle():
     rng = np.random.default_rng(103)
     worst = 0.0
@@ -206,7 +183,7 @@ def test_c03_convolution_oracle():
                     bv = rng.standard_normal(2)
                     out = ad.conv3d(Tensor(xv), Tensor(kv), Tensor(bv),
                                     stride=s, padding=p)
-                    ref = _naive_conv3d(xv, kv, bv, (s, s, s), (p, p, p))
+                    ref = naive_conv3d(xv, kv, bv, (s, s, s), (p, p, p))
                     worst = max(worst, float(np.abs(out.values - ref).max()))
                     checked += 1
     _report("C3 convolution oracle", worst < 1e-10,

@@ -12,31 +12,7 @@ from stwnn import autodiff as ad
 from stwnn.autodiff import Tensor
 from stwnn.errors import DimensionError, UsageError
 
-
-def naive_conv3d(xv, kv, bv, stride, pad):
-    """Direct correlation sum, looped over every output and kernel coordinate."""
-    c_in, d, h, w = xv.shape
-    c_out, _, kd, kh, kw = kv.shape
-    sd, sh, sw = stride
-    pd, ph, pw = pad
-    xp = np.pad(xv, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    od = (d + 2 * pd - kd) // sd + 1
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    out = np.zeros((c_out, od, oh, ow))
-    for co in range(c_out):
-        for i in range(od):
-            for j in range(oh):
-                for l in range(ow):
-                    acc = bv[co]
-                    for a in range(kd):
-                        for b in range(kh):
-                            for c in range(kw):
-                                for ci in range(c_in):
-                                    acc += (kv[co, ci, a, b, c]
-                                            * xp[ci, i * sd + a, j * sh + b, l * sw + c])
-                    out[co, i, j, l] = acc
-    return out
+from helpers import naive_conv3d
 
 
 class TestConv3d:

@@ -1,18 +1,23 @@
 """Command-line pipeline: flags, exit codes, determinism, file outputs."""
 
+import contextlib
 import filecmp
 import logging
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from stwnn import cli, dataio, training
-from stwnn.volumes import SegmentationConfig, Volume3D
+from stwnn import cli, dataio, network, training
+from stwnn.volumes import SegmentationConfig
+
+from helpers import write_grid
 
 
 def run(*argv):
@@ -214,6 +219,15 @@ def huge_value_copy(vols_dir, tmp_path):
     return vols
 
 
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):    # gone, or reaped while read
+        return False
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """synth + segment + short train, shared by train/eval/shift tests."""
@@ -354,6 +368,39 @@ class TestTrainEvalShift:
             assert warned and all(line.startswith("WARNING py.warnings: ") for line in warned)
             assert lines[-1] == error
 
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="reads the workers from /proc")
+    def test_sigterm_leaves_no_worker(self, small_pipeline, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("train forks no worker on one core")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stwnn.cli", "train", "--manifest",
+             str(small_pipeline["vols"] / "manifest.tsv"), "--out", str(tmp_path / "m.wgt1"),
+             "--epochs", "100000", "--batch-size", "2", "--blocks", "2", "--feature-dim", "4"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.05)
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+            assert len(workers) == 2, f"workers {workers}, exit {proc.poll()}"
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+            proc.communicate(timeout=10)
+        finally:
+            for pid in (proc.pid, *workers):
+                if _running(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+
     def test_truncated_volume_file_is_named(self, small_pipeline, tmp_path, capsys):
         vols = tmp_path / "vols"
         vols.mkdir()
@@ -422,10 +469,9 @@ class TestTrainEvalShift:
         root.mkdir()
         entries = []
         for i, (rows, split) in enumerate(zip([*scale_rows, [(1,)]], [*splits, "test"])):
-            dataio.save_volumes(root / f"f{i}.vol1", [
-                Volume3D(data=rng.standard_normal((12, 16, 9)), scale=scale,
-                         source_segment=segment, label=label)
-                for segment, scales in enumerate(rows) for scale in scales])
+            write_grid(root / f"f{i}.vol1", [(segment, scale, label) for segment, scales
+                                             in enumerate(rows) for scale in scales],
+                       (12, 16, 9), rng)
             entries.append(dataio.ManifestEntry(f"f{i}.vol1", 0, split))
         seg = SegmentationConfig(window=16, overlap=0, scales=scales, target_shape=(12, 16, 9))
         dataio.write_manifest(root / "manifest.tsv", dataio.DatasetManifest(
@@ -450,10 +496,8 @@ class TestTrainEvalShift:
 
     def test_segment_with_a_volume_off_the_target_is_named(self, tmp_path, capsys):
         manifest = self.volume_files(tmp_path / "v", [[(1, 2)]], ["train"], scales=(1, 2))
-        rng = np.random.default_rng(61)
-        dataio.save_volumes(manifest.parent / "f0.vol1", [
-            Volume3D(data=rng.standard_normal(shape), scale=scale, source_segment=0)
-            for scale, shape in ((1, (12, 16, 9)), (2, (12, 8, 9)))])
+        write_grid(manifest.parent / "f0.vol1", [(0, 1, None), (0, 2, None)],
+                   [(12, 16, 9), (12, 8, 9)], np.random.default_rng(61))
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 1
         assert ("f0.vol1: volume 1 has (segment, scale, shape, label) (0, 2, (12, 8, 9), None), "
@@ -474,10 +518,7 @@ class TestTrainEvalShift:
     def test_file_off_the_grid_is_corruption(self, tmp_path, capsys, volumes, message):
         manifest = self.volume_files(tmp_path / "v", [[(1,)]], ["train"])
         victim = manifest.parent / "f0.vol1"
-        rng = np.random.default_rng(62)
-        dataio.save_volumes(victim, [
-            Volume3D(data=rng.standard_normal((12, 16, 9)), scale=scale, source_segment=k,
-                     label=label) for k, scale, label in volumes])
+        write_grid(victim, volumes, (12, 16, 9), np.random.default_rng(62))
         assert run("train", "--manifest", str(manifest), "--out", str(tmp_path / "m.wgt1"),
                    "--epochs", "1") == 1
         err = capsys.readouterr().err
@@ -503,8 +544,6 @@ class TestTrainEvalShift:
         assert not weights.exists()
 
     def test_lambda_zero_history_matches_library_train(self, small_pipeline, tmp_path):
-        from stwnn import network, training, volumes as vol_mod
-
         vols = small_pipeline["vols"]
         weights2 = tmp_path / "m2.wgt1"
         assert run("train", "--manifest", str(vols / "manifest.tsv"), "--out",
@@ -514,15 +553,8 @@ class TestTrainEvalShift:
         history = weights2.with_suffix(".history.tsv").read_text().strip().splitlines()[1:]
         cli_losses = [float(line.split("\t")[1]) for line in history]
 
-        manifest = dataio.load_manifest(vols / "manifest.tsv")
-        train_set, val_set = [], []
-        for e in manifest.entries:
-            groups = vol_mod.group_by_segment(dataio.load_volumes(vols / e.path))
-            samples = [(vol_mod.stack_channels(g), e.label) for g in groups]
-            if e.split == "train":
-                train_set.extend(samples)
-            elif e.split == "val":
-                val_set.extend(samples)
+        train_set, _ = cli._load_samples(vols / "manifest.tsv", "train")
+        val_set, _ = cli._load_samples(vols / "manifest.tsv", "val")
         cfg = training.TrainConfig(epochs=2, batch_size=4, mix=0.0, lr=0.01,
                                    momentum=0.9, seed=3)
         model = network.build_model(network.NetworkConfig(

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from stwnn import csi, dataio, network as net
 from stwnn.errors import CorruptionError, FormatError, UsageError, ValidationError
-from stwnn.volumes import SegmentationConfig, Volume3D
+from stwnn.volumes import SegmentationConfig
+
+from helpers import write_grid
 
 
 def random_stream(rng, n_tx=2, n_rx=2, n_sub=4, n_frames=5):
@@ -98,18 +100,15 @@ class TestStreamHeaderFaults:
             dataio.load_stream(path)
 
 
-def random_grid(rng, segments=2, scales=(1, 2), shape=(3, 4, 2), label=None):
-    """A VOL1 grid: per segment one volume per scale, all of one shape and label."""
-    return [Volume3D(data=rng.standard_normal(shape), scale=scale, source_segment=k,
-                     label=label)
-            for k in range(segments) for scale in scales]
+# (segment, scale, label) rows of a small unlabeled VOL1 grid: 2 segments x 2 scales
+GRID = [(k, scale, None) for k in range(2) for scale in (1, 2)]
 
 
 class TestVolumeRoundTrip:
     def test_bit_identical_grid(self, tmp_path):
-        vols = random_grid(np.random.default_rng(43), 3, (1, 2, 4), (2, 5, 3), label=1)
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, vols)
+        vols = write_grid(path, [(k, scale, 1) for k in range(3) for scale in (1, 2, 4)],
+                          (2, 5, 3), np.random.default_rng(43))
         loaded = dataio.load_volumes(path)
         assert len(loaded) == 9
         for a, b in zip(loaded, vols):
@@ -129,9 +128,8 @@ class TestVolumeRoundTrip:
             dataio.load_volumes(path)
 
     def test_truncation(self, tmp_path):
-        vols = random_grid(np.random.default_rng(44))
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, vols)
+        write_grid(path, GRID, (3, 4, 2), np.random.default_rng(44))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(CorruptionError):
@@ -147,7 +145,7 @@ class TestVolumeRoundTrip:
 
     def test_non_finite_payload_is_corruption(self, tmp_path):
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, random_grid(np.random.default_rng(47)))
+        write_grid(path, GRID, (3, 4, 2), np.random.default_rng(47))
         data = bytearray(path.read_bytes())
         data[32:40] = struct.pack("<d", float("inf"))  # first value of volume 0
         path.write_bytes(bytes(data))
@@ -156,7 +154,7 @@ class TestVolumeRoundTrip:
 
     def test_count_overstates_content(self, tmp_path):
         path = tmp_path / "v.vol1"
-        dataio.save_volumes(path, random_grid(np.random.default_rng(45), 1))
+        write_grid(path, GRID[:2], (3, 4, 2), np.random.default_rng(45))
         data = bytearray(path.read_bytes())
         data[4:8] = struct.pack("<I", 3)  # claim one more volume than stored
         path.write_bytes(bytes(data))

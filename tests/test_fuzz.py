@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from stwnn import cli, csi, dataio
 from stwnn.errors import StwnnError
-from stwnn.volumes import SegmentationConfig, Volume3D
+from stwnn.volumes import SegmentationConfig
+
+from helpers import write_grid
 
 SEG = SegmentationConfig(window=8, overlap=0, scales=(1, 2), target_shape=(4, 6, 3))
 VOLUME_BYTES = 24 + 8 * 4 * 6 * 3  # one VOL1 volume: header and values
@@ -31,9 +33,8 @@ def files(tmp_path_factory):
     dataio.save_stream(root / "s.csi1", csi.CsiStream(h=h, sample_rate_hz=100.0))
     entries = []
     for name, label, split in (("a", 0, "train"), ("b", 1, "train"), ("t", 0, "test")):
-        dataio.save_volumes(root / f"{name}.vol1", [
-            Volume3D(data=rng.standard_normal(SEG.target_shape), scale=scale,
-                     source_segment=k, label=label) for k in range(2) for scale in SEG.scales])
+        write_grid(root / f"{name}.vol1", [(k, scale, label) for k in range(2)
+                                           for scale in SEG.scales], SEG.target_shape, rng)
         entries.append(dataio.ManifestEntry(f"{name}.vol1", label, split))
     dataio.write_manifest(root / "manifest.tsv", dataio.DatasetManifest(
         entries=entries, n_classes=2, segmentation=SEG))

@@ -12,13 +12,7 @@ from stwnn.autodiff import Tensor
 from stwnn.errors import ConfigError, DimensionError, UsageError
 from stwnn.volumes import Volume3D
 
-TINY = dict(n_classes=2, in_channels=2, block_channels=(2,), feature_dim=3, seed=5)
-
-
-def tiny_model(**overrides):
-    kwargs = dict(TINY)
-    kwargs.update(overrides)
-    return net.build_model(net.NetworkConfig(**kwargs))
+from helpers import tiny_model
 
 
 class TestBuildModel:

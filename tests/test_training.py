@@ -15,13 +15,7 @@ from stwnn.autodiff import Tensor
 from stwnn.errors import (ConfigError, DimensionError, StwnnError, UsageError,
                           ValidationError)
 
-TINY = dict(n_classes=2, in_channels=2, block_channels=(2,), feature_dim=3, seed=5)
-
-
-def tiny_model(**overrides):
-    kwargs = dict(TINY)
-    kwargs.update(overrides)
-    return net.build_model(net.NetworkConfig(**kwargs))
+from helpers import tiny_model
 
 
 def loss(g, p, q, mix):
@@ -328,22 +322,42 @@ class TestTrainLoop:
         for k, p in model.parameters().items():
             assert np.array_equal(p.values, before[k]), k
 
-    def test_non_finite_parameter_stops_training(self):
+    def test_non_finite_parameter_stops_training(self, monkeypatch):
         data = tiny_dataset(2)
         data[1][0][0, 0, 0, 0] = 1e300
         model = tiny_model()
+        # per SGD step, the first parameter in ``parameters()`` order it left non-finite
+        step, broken = tr.SgdMomentum.step, []
+
+        def spy(opt):
+            step(opt)
+            broken.append(next((name for name, p in model.parameters().items()
+                                if not np.isfinite(p.values).all()), None))
+
+        monkeypatch.setattr(tr.SgdMomentum, "step", spy)
         cfg = tr.TrainConfig(epochs=2, batch_size=2, lr=0.01, seed=0)
         with pytest.raises(StwnnError, match="non-finite") as exc:
             tr.train(model, data, data, cfg)
         assert not isinstance(exc.value, cli._USAGE_ERRORS)    # the CLI exits 1
         # train stopped right after the step that broke the parameters
-        first = next(name for name, p in model.parameters().items()
-                     if not np.isfinite(p.values).all())
         order = np.random.default_rng([0, 0]).permutation(4)
         batch = list(order).index(1) // 2
+        assert len(broken) == batch + 1
         assert str(exc.value) == (f"training went non-finite at epoch 0, batch {batch}: "
-                                  f"parameter {first!r} holds non-finite values")
+                                  f"parameter {broken[-1]!r} holds non-finite values")
         assert tr._SHARED is None
+
+    def test_failed_training_gives_the_model_back_as_it_was(self):
+        data = tiny_dataset(2)
+        data[1][0][0, 0, 0, 0] = 1e300
+        model = tiny_model()
+        given = {name: p.values for name, p in model.parameters().items()}
+        before = {name: values.copy() for name, values in given.items()}
+        with pytest.raises(StwnnError, match="non-finite"):
+            tr.train(model, data, data, tr.TrainConfig(epochs=2, batch_size=2, lr=0.01))
+        for name, p in model.parameters().items():
+            assert p.values is given[name], name
+            assert np.array_equal(p.values, before[name]), name
 
     @pytest.mark.parametrize("finite", [True, False])
     def test_blas_count_is_set_once_and_handed_back(self, monkeypatch, finite):
