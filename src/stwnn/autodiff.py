@@ -7,8 +7,9 @@ input) is its own node. A node keeps no array, so an op result's values are
 freed once the caller drops them, unless a backward closure saved them (a
 conv saves its padded input, a relu its mask). ``backward`` walks the graph
 once in reverse topological order and stores gradients on leaves only,
-accumulating until reset to None. Inside ``no_graph()`` no graph is recorded,
-so inference holds no intermediate longer than the op that reads it.
+accumulating until reset to None. Inside ``no_graph()`` no graph is recorded
+on that thread, so inference holds no intermediate longer than the op that
+reads it.
 
 Everything runs in double precision. There is no broadcasting except the
 bias term of ``linear``/``conv3d`` and the per-vector weights of
@@ -32,7 +33,8 @@ restarted helper spins for about 0.1 s before it sleeps. So a process that
 forks workers should hold the count at 1 across the fork (``training.train``
 enters ``_one_blas_thread`` around its pool): a conv then sets no count in the
 workers, and the pool restarts once, in the parent, when the caller's count
-comes back.
+comes back. A process that runs forwards on several threads holds the count
+at 1 across them in the same way (``training.predict``).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import contextlib
 import ctypes
 import glob
 import os
+import threading
 
 import numpy as np
 
@@ -95,27 +98,34 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-# False inside ``no_graph``: op results then record no graph at all
-_RECORDING = True
+class _Recording(threading.local):
+    """Per thread, so that one thread's ``no_graph`` leaves another's graph
+    alone: ``on`` is False inside ``no_graph``, where op results record no
+    graph at all."""
+
+    on = True
+
+
+_RECORDING = _Recording()
 
 
 @contextlib.contextmanager
 def no_graph():
-    """Run the block without recording the graph: op results keep no parents
-    and no backward closure, so each intermediate is freed as soon as it is
-    dropped. Values are the same as with recording on; for inference."""
-    global _RECORDING
-    saved, _RECORDING = _RECORDING, False
+    """Run the block without recording the graph on this thread: op results
+    keep no parents and no backward closure, so each intermediate is freed as
+    soon as it is dropped. Values are the same as with recording on; for
+    inference."""
+    saved, _RECORDING.on = _RECORDING.on, False
     try:
         yield
     finally:
-        _RECORDING = saved
+        _RECORDING.on = saved
 
 
 def _result(values, parents, backward_fn):
     """Wrap an op result, recording the graph only when a parent needs grads."""
     out = Tensor(values)
-    if _RECORDING and any(p.requires_grad for p in parents):
+    if _RECORDING.on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(tuple(p if p._node is None else p._node for p in parents),
                           backward_fn)
@@ -339,7 +349,15 @@ def _one_blas_thread():
     With the count already 1 it sets nothing: every set restarts the helper
     threads a ``fork`` stopped, so a forked worker that inherits a count of 1
     never starts them. The caller's count comes back on exit, which in a
-    process that forked starts its helpers once."""
+    process that forked starts its helpers once.
+
+    A fan-out over threads must hold the count at 1 across the whole fan-out,
+    as ``training.predict`` does. The count is one setting for the process,
+    so a conv that hands the caller's count back on exit raises it under
+    another thread's conv, whose GEMMs then also start OpenBLAS's own
+    threads on cores the fan-out already fills. On a 2-core host, 10
+    paper-shape forwards on 2 threads took 184-194 ms with the count set per
+    conv and 108-112 ms with it held at 1, against 173-192 ms serially."""
     get, set_ = _OPENBLAS_THREADS or (lambda: 1, lambda n: None)
     before = get()
     if before == 1:

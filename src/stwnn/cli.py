@@ -300,6 +300,7 @@ def _write_metrics(metrics: training.Metrics, report_path: Path, table_path: Pat
 
 
 def _cmd_eval(args, settings: dict) -> int:
+    training._reuse_freed_heap()    # the forwards then reuse freed pages, not fault in new ones
     manifest_path = Path(args.manifest)
     test_set, manifest = _load_samples(manifest_path, "test")
     model, trained = dataio.load_weights(args.weights)
@@ -322,6 +323,7 @@ def _cmd_eval(args, settings: dict) -> int:
 
 
 def _cmd_shift(args, settings: dict) -> int:
+    training._reuse_freed_heap()
     manifest_path = Path(args.manifest)
     manifest = dataio.load_manifest(manifest_path)
     model, cfg = dataio.load_weights(args.weights)

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 import mmap
 import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,26 +135,31 @@ def _check_dataset(dataset, config: net.NetworkConfig, what: str):
 # (and 1/batch).
 _SHARED = None
 
+# ``predict``'s helper threads: (pid of the process that started them, their job queues)
+_HELPERS = (None, [])
+
 # glibc mallopt parameters; see ``_reuse_freed_heap``
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # Linux prctl option; see ``_worker_init``
 _PR_SET_PDEATHSIG = 1
 
 
-def _worker_count(batch_size: int, n_samples: int) -> int:
-    """One training worker per core this process may run on, at most one per
-    sample of a batch; one (in-process) where ``fork`` is unavailable."""
+def _worker_count(*limits: int) -> int:
+    """One worker per core this process may run on, and no more than any of
+    ``limits`` (``train``: the batch size and the sample count; ``predict``:
+    the sample count); one, the caller alone, where ``fork`` is unavailable."""
     if not hasattr(os, "fork"):
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, batch_size, n_samples)
+    return min((cores or 1, *limits))
 
 
 def _reuse_freed_heap():
-    """Raise malloc's thresholds (run by ``_worker_init``). A sample's graph
-    frees tens of MB at once; glibc would hand that back to the kernel and fault
-    it in again on the next sample, so the process keeps up to 64 MiB of freed
-    heap and serves blocks under 32 MiB from it (a no-op without glibc)."""
+    """Raise malloc's thresholds (run by ``_worker_init`` and by the ``eval`` and
+    ``shift`` commands). A sample's graph frees tens of MB at once; glibc would
+    hand that back to the kernel and fault it in again on the next sample, so
+    the process keeps up to 64 MiB of freed heap and serves blocks under 32 MiB
+    from it (a no-op without glibc)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -315,13 +323,70 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     return model, history
 
 
+def _helper_loop(jobs: queue.SimpleQueue):
+    """A ``predict`` helper thread: runs each (share, done) job it is given,
+    then drops the share, which holds the caller's samples, and reports done."""
+    while True:
+        share, done = jobs.get()
+        share()
+        share = None
+        done.put(None)
+
+
+def _prediction_helpers(n: int) -> list:
+    """The job queues of ``n`` helper threads, started on first use and kept
+    for the life of the process. A forked child has none of its parent's
+    threads, so a process whose pid has changed starts its own."""
+    global _HELPERS
+    pid, queues = _HELPERS
+    if pid != os.getpid():
+        queues = []
+    while len(queues) < n:
+        queues.append(queue.SimpleQueue())
+        threading.Thread(target=_helper_loop, args=(queues[-1],), daemon=True,
+                         name="stwnn-predict").start()
+    _HELPERS = (os.getpid(), queues)
+    return queues[:n]
+
+
 def predict(model: net.Model, samples) -> np.ndarray:
-    """Class index per sample via the plain probability branch."""
-    preds = []
-    for sample in samples:
-        _, probs, _ = net.forward(model, sample)
-        preds.append(int(np.argmax(probs)))
-    return np.array(preds, dtype=np.int64)
+    """Class index per sample via the plain probability branch, in input order.
+
+    The caller and one helper thread per further core (``_worker_count``)
+    each take the next sample until none is left, with BLAS held on one
+    thread across them (``autodiff._one_blas_thread``); a forward's values do
+    not depend on the thread that ran it. ``samples`` is drawn whole first,
+    by the caller, so that only forwards run on a helper and fill its
+    allocator arena. The first exception a forward raises reaches the caller
+    with its own type, once every helper has finished its forward in hand
+    and taken no other."""
+    samples = list(samples)
+    preds = np.empty(len(samples), dtype=np.int64)
+    taken = itertools.count()
+    failed = []
+
+    def share():
+        try:
+            while not failed:
+                i = next(taken)
+                if i >= len(samples):
+                    return
+                _, probs, _ = net.forward(model, samples[i])
+                preds[i] = np.argmax(probs)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helpers = _prediction_helpers(_worker_count(len(samples) or 1) - 1)
+    done = queue.SimpleQueue()
+    with ad._one_blas_thread():
+        for jobs in helpers:
+            jobs.put((share, done))
+        share()
+        for _ in helpers:
+            done.get()
+    if failed:
+        raise failed[0]
+    return preds
 
 
 def confusion_metrics(y_true, y_pred, n_classes: int) -> Metrics:

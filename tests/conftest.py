@@ -1,4 +1,4 @@
-"""Training in every test runs on at most two worker processes."""
+"""Training and prediction in every test run on at most two workers."""
 
 import pytest
 
@@ -10,5 +10,5 @@ def _at_most_two_training_workers():
     count = training._worker_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "_worker_count",
-                   lambda batch_size, n_samples: min(2, count(batch_size, n_samples)))
+                   lambda *limits: min(2, count(*limits)))
         yield

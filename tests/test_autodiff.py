@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics against loop oracles, gradients against
 central finite differences."""
 
+import threading
 import weakref
 import zlib
 
@@ -453,6 +454,34 @@ class TestNoGraph:
             with ad.no_graph():
                 pass
             assert ad.relu(x)._parents == ()
+        assert ad.relu(x)._parents == (x,)
+
+
+    def test_one_threads_block_leaves_another_recording(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def other():
+            with ad.no_graph():
+                entered.set()
+                release.wait(10)
+                seen.append(ad.relu(x)._parents)
+            seen.append(ad.relu(x)._parents)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert ad.relu(x)._parents == (x,)
+            with ad.no_graph():
+                release.set()
+                thread.join(10)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [(), (x,)]
         assert ad.relu(x)._parents == (x,)
 
 

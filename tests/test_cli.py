@@ -564,6 +564,34 @@ class TestTrainEvalShift:
         np.testing.assert_allclose(cli_losses, lib_losses, rtol=1e-9)
 
 
+@pytest.mark.parametrize("command, reuses", [("synth", False), ("segment", False),
+                                              ("train", False), ("eval", True),
+                                              ("shift", True)])
+def test_only_the_forward_commands_keep_freed_heap(small_pipeline, tmp_path, monkeypatch,
+                                                    command, reuses):
+    """eval and shift raise malloc's thresholds for their forwards; synth,
+    segment and train leave the calling process's allocator as it was."""
+    calls = []
+    monkeypatch.setattr(training, "_reuse_freed_heap", lambda: calls.append(command))
+    data, vols = small_pipeline["data"], small_pipeline["vols"]
+    weights = ["--weights", str(small_pipeline["weights"])]
+    argv = {
+        "synth": ["--out", str(tmp_path / "data"), "--classes", "2", "--per-class", "1",
+                  "--val-per-class", "1", "--test-per-class", "1", "--duration", "0.4"],
+        "segment": ["--manifest", str(data / "manifest.tsv"), "--out", str(tmp_path / "v"),
+                    "--window", "32", "--overlap", "8", "--scales", "1,2",
+                    "--target", "12,16,9"],
+        "train": ["--manifest", str(vols / "manifest.tsv"), "--out", str(tmp_path / "m.wgt1"),
+                  "--epochs", "1", "--blocks", "2", "--feature-dim", "4"],
+        "eval": ["--manifest", str(vols / "manifest.tsv"), *weights,
+                 "--report", str(tmp_path / "r.txt"), "--metrics", str(tmp_path / "m.tsv")],
+        "shift": ["--manifest", str(data / "manifest.tsv"), *weights, "--max-shift", "1",
+                  "--out", str(tmp_path / "s.tsv")],
+    }[command]
+    assert run(command, *argv) == 0
+    assert calls == ([command] if reuses else [])
+
+
 class TestSegmentationChosenOnce:
     """segment declares the segmentation, train copies it into the weights,
     eval refuses volumes cut another way and shift cuts windows as it says."""

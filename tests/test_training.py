@@ -4,6 +4,8 @@ import contextlib
 import mmap
 import multiprocessing
 import os
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -554,6 +556,139 @@ class TestEvaluate:
     def test_empty_set_rejected(self):
         with pytest.raises(UsageError):
             tr.evaluate(tiny_model(), [])
+
+
+class TestPredict:
+    """``predict`` shares its samples between the caller and helper threads."""
+
+    def setup_method(self):
+        self.model = tiny_model(n_classes=5, block_channels=(3,), seed=0)
+        rng = np.random.default_rng(41)     # two classes predicted among these
+        self.samples = [rng.standard_normal((2, 4, 6, 9)) * 3 + rng.standard_normal() * 3
+                        for _ in range(8)]
+
+    def _spy_forward(self, monkeypatch, workers, fail_on_helper=False):
+        """Run ``predict`` on ``workers`` threads; with two, the caller's first
+        forward waits until a helper has started one, so both take samples.
+        Returns the (thread, sample index, logits) of every forward."""
+        monkeypatch.setattr(tr, "_worker_count", lambda *limits: workers)
+        real = net.forward
+        calls = []
+        helper_started = threading.Event()
+
+        def spy(model, sample):
+            index = next(i for i, s in enumerate(self.samples) if s is sample)
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper:
+                helper_started.set()
+                if fail_on_helper:
+                    raise DimensionError(f"bad sample {index}")
+            elif workers > 1 and not calls:
+                assert helper_started.wait(10)
+            out = real(model, sample)
+            calls.append((on_helper, index, out[0]))
+            return out
+
+        monkeypatch.setattr(net, "forward", spy)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bit_identical_to_a_serial_forward_loop_in_input_order(self, monkeypatch, workers):
+        serial = [net.forward(self.model, s) for s in self.samples]
+        want = np.array([np.argmax(probs) for _, probs, _ in serial])
+        assert len(set(want)) > 1
+        calls = self._spy_forward(monkeypatch, workers)
+        got = tr.predict(self.model, iter(self.samples))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert sorted(i for _, i, _ in calls) == list(range(len(self.samples)))
+        for _, i, logits in calls:
+            assert np.array_equal(logits, serial[i][0]), i
+        assert {on_helper for on_helper, _, _ in calls} == {False, workers > 1}
+
+    def test_more_threads_than_cores_take_each_sample_once(self, monkeypatch):
+        """Four threads and a 1 us switch interval: a sample taken twice or
+        never, or a prediction written to another's slot, shows."""
+        samples = [s.copy() for s in self.samples * 6]
+        want = np.array([np.argmax(net.forward(self.model, s)[1]) for s in samples])
+        monkeypatch.setattr(tr, "_worker_count", lambda *limits: 4)
+        real, taken = net.forward, []
+
+        def spy(model, sample):
+            taken.append(next(i for i, s in enumerate(samples) if s is sample))
+            return real(model, sample)
+
+        monkeypatch.setattr(net, "forward", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tr.predict(self.model, samples)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(len(samples)))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_input(self, monkeypatch, workers):
+        monkeypatch.setattr(tr, "_worker_count", lambda *limits: workers)
+        got = tr.predict(self.model, [])
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_a_helper_error_keeps_its_type_and_the_helper_stops(self, monkeypatch):
+        calls = self._spy_forward(monkeypatch, 2, fail_on_helper=True)
+        with pytest.raises(DimensionError, match="bad sample"):
+            tr.predict(self.model, self.samples)
+        finished = len(calls)
+        time.sleep(0.2)
+        assert len(calls) == finished <= 2       # the caller stopped taking samples too
+        assert all(not on_helper for on_helper, _, _ in calls)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_predicts_on_its_own_helper(self, monkeypatch):
+        """The child inherits the parent's record of a running helper but not
+        the thread; it must start its own rather than wait on one it lacks."""
+        monkeypatch.setattr(tr, "_worker_count", lambda *limits: 2)
+        want = tr.predict(self.model, self.samples)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                os.write(write_end, tr.predict(self.model, self.samples).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's predict did not finish")
+            time.sleep(0.05)
+        with os.fdopen(read_end, "rb") as f:
+            assert np.array_equal(np.frombuffer(f.read(), dtype=np.int64), want)
+
+    def test_blas_count_is_held_at_one_across_the_threads(self, monkeypatch):
+        """Set once for the whole fan-out, so no conv on either thread sets
+        the process-wide count under the other's GEMMs."""
+        count, sets = [4], []
+
+        def set_threads(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(ad, "_OPENBLAS_THREADS", (lambda: count[0], set_threads))
+        calls = self._spy_forward(monkeypatch, 2)
+        tr.predict(self.model, self.samples)
+        assert {on_helper for on_helper, _, _ in calls} == {False, True}
+        assert sets == [1, 4] and count == [4]
+
+    def test_the_caller_still_records_a_graph(self, monkeypatch):
+        self._spy_forward(monkeypatch, 2)
+        tr.predict(self.model, self.samples)
+        x = Tensor(np.zeros(3), requires_grad=True)
+        assert ad.relu(x)._parents == (x,)
 
 
 def order_stream(seed):
