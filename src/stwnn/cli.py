@@ -14,16 +14,18 @@ one file can serve the whole pipeline; any other key, or a repeated one, is
 an error. The STWNN_LOG environment variable (debug/info/warning/quiet)
 selects log verbosity. Exit codes: 0 success, 1 runtime failure (a corrupt
 file, named in the message, or running out of memory), 2 usage or config error,
-such as an output that would land on an input or on another output.
-"""
+such as an output that would land on an input or on another output, 130 stopped
+by SIGINT, 143 stopped by SIGTERM."""
 
 from __future__ import annotations
 
 import argparse
 import logging
 import os
+import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,19 @@ _USAGE_ERRORS = (ConfigError, UsageError, ValidationError, DimensionError,
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+EXIT_STOPPED = 128     # plus the signal's number: 130 for SIGINT, 143 for SIGTERM
+
+
+def _stop(signum, frame):
+    """``main``'s SIGINT and SIGTERM handler: log one line and end the process
+    at once. An exception raised here would unwind from wherever the main
+    thread stands, and could leave a lock it holds there (one of the training
+    pool's queues, a starting thread's) taken, so that the exit hangs."""
+    try:
+        log.error("stopped by %s", signal.Signals(signum).name)
+        sys.stdout.flush()
+    finally:
+        os._exit(EXIT_STOPPED + signum)
 
 
 def _int_list(text) -> tuple:
@@ -398,6 +413,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # only the main thread may set a handler, and the library sets none; an
+    # ignored signal or a caller's own handler is left alone
+    stops = ()
+    if threading.current_thread() is threading.main_thread():
+        stops = [(sig, signal.signal(sig, _stop)) for sig in (signal.SIGINT, signal.SIGTERM)
+                 if signal.getsignal(sig) in (signal.SIG_DFL, signal.default_int_handler)]
     try:
         return args.func(args, _settings(args))
     except _USAGE_ERRORS as exc:
@@ -409,6 +430,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         log.error("out of memory: %s", exc)
         return EXIT_RUNTIME
+    finally:
+        for sig, handler in stops:
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

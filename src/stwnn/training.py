@@ -16,7 +16,6 @@ import itertools
 import math
 import mmap
 import os
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -135,9 +134,6 @@ def _check_dataset(dataset, config: net.NetworkConfig, what: str):
 # (and 1/batch).
 _SHARED = None
 
-# ``predict``'s helper threads: (pid of the process that started them, their job queues)
-_HELPERS = (None, [])
-
 # glibc mallopt parameters; see ``_reuse_freed_heap``
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # Linux prctl option; see ``_worker_init``
@@ -147,9 +143,7 @@ _PR_SET_PDEATHSIG = 1
 def _worker_count(*limits: int) -> int:
     """One worker per core this process may run on, and no more than any of
     ``limits`` (``train``: the batch size and the sample count; ``predict``:
-    the sample count); one, the caller alone, where ``fork`` is unavailable."""
-    if not hasattr(os, "fork"):
-        return 1
+    the sample count)."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min((cores or 1, *limits))
 
@@ -168,13 +162,16 @@ def _reuse_freed_heap():
 
 
 def _worker_init(parent_pid: int):
-    """The training pool's initializer: the worker asks Linux for SIGTERM when
+    """The training pool's initializer: the worker ignores SIGINT and dies by
+    SIGTERM, so only the parent reports a stop; it asks Linux for SIGTERM when
     its parent goes (a no-op without ``prctl``), exits at once if the parent is
-    already gone, then runs ``_reuse_freed_heap``. The signal follows the thread
-    that forked: with the fork context, Python 3.11's ``ProcessPoolExecutor``
-    starts every worker from the thread that first submits, which is
-    ``train``'s caller, and that thread outlives the pool."""
+    gone, then runs ``_reuse_freed_heap``. The signal follows the thread that
+    forked: with the fork context, Python 3.11's ``ProcessPoolExecutor`` starts
+    every worker from the thread that first submits, ``train``'s caller, which
+    outlives the pool."""
     import signal   # like ``train``'s pool imports: commands which never train skip it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
@@ -262,7 +259,8 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
 
     params = model.parameters()
     opt = SgdMomentum(params.values(), cfg.lr, cfg.momentum)
-    workers = _worker_count(cfg.batch_size, len(train_set))
+    # the pool forks; without ``fork`` the caller runs every task
+    workers = _worker_count(cfg.batch_size, len(train_set)) if hasattr(os, "fork") else 1
     # the caller's own arrays (``_share_parameters`` only reads them), until the run completes
     restore = {name: p.values for name, p in params.items()}
     history = []
@@ -323,43 +321,17 @@ def train(model: net.Model, train_set, val_set, cfg: TrainConfig):
     return model, history
 
 
-def _helper_loop(jobs: queue.SimpleQueue):
-    """A ``predict`` helper thread: runs each (share, done) job it is given,
-    then drops the share, which holds the caller's samples, and reports done."""
-    while True:
-        share, done = jobs.get()
-        share()
-        share = None
-        done.put(None)
-
-
-def _prediction_helpers(n: int) -> list:
-    """The job queues of ``n`` helper threads, started on first use and kept
-    for the life of the process. A forked child has none of its parent's
-    threads, so a process whose pid has changed starts its own."""
-    global _HELPERS
-    pid, queues = _HELPERS
-    if pid != os.getpid():
-        queues = []
-    while len(queues) < n:
-        queues.append(queue.SimpleQueue())
-        threading.Thread(target=_helper_loop, args=(queues[-1],), daemon=True,
-                         name="stwnn-predict").start()
-    _HELPERS = (os.getpid(), queues)
-    return queues[:n]
-
-
 def predict(model: net.Model, samples) -> np.ndarray:
     """Class index per sample via the plain probability branch, in input order.
 
-    The caller and one helper thread per further core (``_worker_count``)
-    each take the next sample until none is left, with BLAS held on one
-    thread across them (``autodiff._one_blas_thread``); a forward's values do
-    not depend on the thread that ran it. ``samples`` is drawn whole first,
-    by the caller, so that only forwards run on a helper and fill its
-    allocator arena. The first exception a forward raises reaches the caller
-    with its own type, once every helper has finished its forward in hand
-    and taken no other."""
+    The caller and one helper thread per further core (``_worker_count``),
+    started for this call and joined before it ends, each take the next
+    sample until none is left, with BLAS held on one thread across them
+    (``autodiff._one_blas_thread``); a forward's values do not depend on the
+    thread that ran it. ``samples`` is drawn whole first, by the caller, so
+    that only forwards run on a helper and fill its allocator arena. The
+    first exception a forward raises reaches the caller with its own type,
+    once every helper has finished its forward in hand and taken no other."""
     samples = list(samples)
     preds = np.empty(len(samples), dtype=np.int64)
     taken = itertools.count()
@@ -376,14 +348,17 @@ def predict(model: net.Model, samples) -> np.ndarray:
         except BaseException as exc:
             failed.append(exc)
 
-    helpers = _prediction_helpers(_worker_count(len(samples) or 1) - 1)
-    done = queue.SimpleQueue()
+    helpers = [threading.Thread(target=share, name="stwnn-predict")
+               for _ in range(_worker_count(len(samples) or 1) - 1)]
     with ad._one_blas_thread():
-        for jobs in helpers:
-            jobs.put((share, done))
-        share()
-        for _ in helpers:
-            done.get()
+        try:
+            for helper in helpers:
+                helper.start()
+            share()
+        finally:   # also when a start fails or an interrupt ends a join
+            for helper in helpers:
+                if helper.is_alive():
+                    helper.join()
     if failed:
         raise failed[0]
     return preds

@@ -228,6 +228,15 @@ def _running(pid):
         return False
 
 
+def _worker_ready(pid):
+    """Whether pool worker ``pid`` ignores SIGINT and leaves SIGTERM to its
+    default action, as ``training._worker_init`` sets them (Linux ``/proc``)."""
+    with open(f"/proc/{pid}/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    ignored, caught = int(fields["SigIgn"], 16), int(fields["SigCgt"], 16)
+    return bool(ignored >> (signal.SIGINT - 1) & 1) and not caught >> (signal.SIGTERM - 1) & 1
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """synth + segment + short train, shared by train/eval/shift tests."""
@@ -368,9 +377,14 @@ class TestTrainEvalShift:
             assert warned and all(line.startswith("WARNING py.warnings: ") for line in warned)
             assert lines[-1] == error
 
-    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
-                        reason="reads the workers from /proc")
-    def test_sigterm_leaves_no_worker(self, small_pipeline, tmp_path):
+    def _stop_training(self, small_pipeline, tmp_path, sig, group):
+        """Start ``stwnn train`` in a session of its own, send ``sig`` once its
+        two workers run and have set their signals (to the whole process group
+        with ``group``, as a terminal's Ctrl-C does), and require both workers
+        gone within 5 s. Returns the exit status and the stderr lines
+        (``STWNN_LOG=quiet``: errors only, so a worker's line would show)."""
+        if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+            pytest.skip("reads the workers from /proc")
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("train forks no worker on one core")
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -378,28 +392,44 @@ class TestTrainEvalShift:
             [sys.executable, "-m", "stwnn.cli", "train", "--manifest",
              str(small_pipeline["vols"] / "manifest.tsv"), "--out", str(tmp_path / "m.wgt1"),
              "--epochs", "100000", "--batch-size", "2", "--blocks", "2", "--feature-dim", "4"],
-            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE)
+            env=dict(os.environ, PYTHONPATH=src, STWNN_LOG="quiet"), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            # a shell's background job ignores SIGINT, and a child would inherit that
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         workers = []
         try:
             deadline = time.monotonic() + 60
-            while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            while not (len(workers) == 2 and all(map(_worker_ready, workers))) \
+                    and time.monotonic() < deadline and proc.poll() is None:
                 time.sleep(0.05)
                 with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
                     workers = [int(pid) for pid in fh.read().split()]
-            assert len(workers) == 2, f"workers {workers}, exit {proc.poll()}"
-            proc.send_signal(signal.SIGTERM)
+            assert len(workers) == 2 and all(map(_worker_ready, workers)), \
+                f"workers {workers}, exit {proc.poll()}"
+            if group:
+                os.killpg(proc.pid, sig)
+            else:
+                proc.send_signal(sig)
             deadline = time.monotonic() + 5
             while any(map(_running, workers)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not [pid for pid in workers if _running(pid)]
-            proc.communicate(timeout=10)
+            _, err = proc.communicate(timeout=10)
         finally:
             for pid in (proc.pid, *workers):
                 if _running(pid):
                     with contextlib.suppress(ProcessLookupError):
                         os.kill(pid, signal.SIGKILL)
             proc.wait(timeout=10)
+        return proc.returncode, err.splitlines()
+
+    def test_sigterm_leaves_no_worker(self, small_pipeline, tmp_path):
+        code, err = self._stop_training(small_pipeline, tmp_path, signal.SIGTERM, group=False)
+        assert (code, err) == (143, ["ERROR stwnn: stopped by SIGTERM"])
+
+    def test_sigint_leaves_no_worker_and_no_traceback(self, small_pipeline, tmp_path):
+        code, err = self._stop_training(small_pipeline, tmp_path, signal.SIGINT, group=True)
+        assert (code, err) == (130, ["ERROR stwnn: stopped by SIGINT"])
 
     def test_truncated_volume_file_is_named(self, small_pipeline, tmp_path, capsys):
         vols = tmp_path / "vols"

@@ -642,10 +642,48 @@ class TestPredict:
         assert len(calls) == finished <= 2       # the caller stopped taking samples too
         assert all(not on_helper for on_helper, _, _ in calls)
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_helper_outlives_the_call(self, monkeypatch, fail):
+        calls = self._spy_forward(monkeypatch, 2, fail_on_helper=fail)
+        with pytest.raises(DimensionError) if fail else contextlib.nullcontext():
+            tr.predict(self.model, self.samples)
+        assert fail or {on_helper for on_helper, _, _ in calls} == {False, True}
+        assert not [t for t in threading.enumerate() if t.name == "stwnn-predict"]
+
+    def test_without_fork_predict_keeps_its_helper_and_train_runs_in_process(
+            self, monkeypatch):
+        """Only ``train``, which forks, falls back to the caller alone where
+        ``os.fork`` is missing; ``predict`` still starts a helper thread."""
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real, threads = net.forward, []
+        helper_ran = threading.Event()
+
+        def spy(model, sample):
+            if threading.current_thread() is threading.main_thread():
+                if not threads:
+                    helper_ran.wait(10)     # so that a helper, if any, takes a sample
+            else:
+                helper_ran.set()
+            threads.append(threading.current_thread().name)
+            return real(model, sample)
+
+        monkeypatch.setattr(net, "forward", spy)
+        tr.predict(self.model, self.samples)
+        assert "stwnn-predict" in threads
+        monkeypatch.setattr(net, "forward", real)
+        real_grad, pids = tr._sample_grad, []
+        monkeypatch.setattr(tr, "_sample_grad",
+                            lambda idx, inv: pids.append(os.getpid()) or real_grad(idx, inv))
+        data = tiny_dataset(2)
+        tr.train(tiny_model(), data, data[:2], tr.TrainConfig(epochs=1, batch_size=4))
+        assert pids and set(pids) == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_child_predicts_on_its_own_helper(self, monkeypatch):
-        """The child inherits the parent's record of a running helper but not
-        the thread; it must start its own rather than wait on one it lacks."""
+    def test_a_child_forked_after_a_call_predicts(self, monkeypatch):
+        """A child forked after a threaded call has none of the parent's
+        threads, and starts its own."""
         monkeypatch.setattr(tr, "_worker_count", lambda *limits: 2)
         want = tr.predict(self.model, self.samples)
         read_end, write_end = os.pipe()
